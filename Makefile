@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-json-timing bench-json-mlp bench-json-prefetch nopanic crash-sweep probe-smoke persist-matrix mlp-smoke prefetch-smoke grid-smoke telemetry-smoke verify
+.PHONY: all build vet test race bench bench-json bench-json-timing bench-json-mlp bench-json-prefetch nopanic crash-sweep probe-smoke persist-matrix mlp-smoke prefetch-smoke grid-smoke telemetry-smoke perfbench-test verify
 
 all: verify
 
@@ -186,4 +186,11 @@ telemetry-smoke:
 	@rm -rf /tmp/lelantus-telemetry-smoke /tmp/lelantus-telemetry-smoke.err \
 	    /tmp/lelantus-telemetry-smoke.prom /tmp/lelantus-telemetry-smoke-bin
 
-verify: build vet nopanic test race crash-sweep persist-matrix probe-smoke mlp-smoke prefetch-smoke grid-smoke telemetry-smoke
+# Benchmark tests: perfbench is its own Go module, so the root build and
+# test targets never compile it, yet it reads workload scripts
+# (Script.Ops, Op.Procs, the size of an Op). This target builds and tests
+# it against the current tree.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
+verify: build vet nopanic test race crash-sweep persist-matrix probe-smoke mlp-smoke prefetch-smoke grid-smoke telemetry-smoke perfbench-test

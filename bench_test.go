@@ -6,7 +6,6 @@
 package lelantus
 
 import (
-	"fmt"
 	"os"
 	"testing"
 
@@ -142,45 +141,6 @@ func BenchmarkFig11(b *testing.B) {
 
 // BenchmarkFig12 regenerates the counter write-strategy study.
 func BenchmarkFig12(b *testing.B) { benchReport(b, experiments.Fig12) }
-
-// BenchmarkGridRun measures the worker-pool fan-out over the full
-// scheme × workload grid at several worker counts; on a multi-core host
-// throughput scales with the pool because machines share no state.
-func BenchmarkGridRun(b *testing.B) {
-	o := quickOpts()
-	var jobs []sim.GridJob
-	for _, spec := range workload.Catalogue() {
-		var script workload.Script
-		if spec.Name == "forkbench" {
-			p := workload.DefaultForkbench(false)
-			p.RegionBytes = 4 << 20
-			script = workload.Forkbench(p)
-		} else {
-			script = spec.Build(false, o.Seed)
-		}
-		for _, s := range core.Schemes() {
-			cfg := sim.DefaultConfig(s)
-			cfg.Mem.MemBytes = o.MemBytes
-			cfg.Mem.Core.Fidelity = o.Fidelity
-			cfg.Mem.Core.MLP = o.MLP
-			cfg.Mem.Core.Prefetch = o.Prefetch
-			jobs = append(jobs, sim.GridJob{
-				Tag:    spec.Name + "/" + s.String(),
-				Config: cfg,
-				Script: script,
-			})
-		}
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunGrid(jobs, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // benchEngine builds a machine and warms a small working set: every line of
 // pages 4..7 is written once, so counter blocks are cached, MAC entries

@@ -165,7 +165,14 @@ func (m *Machine) snapInto(dst *snapshot) {
 // shared slices (Op.Procs) are copied before use. One Script value may
 // therefore be shared by many machines running concurrently — RunGrid and
 // the experiment harness's script interning rely on this.
+//
+// A script whose slot counts exceed workload.MaxSlots is rejected before
+// any op runs: its ops' uint16 slot fields would alias distinct slots.
 func (m *Machine) Run(s workload.Script) (Result, error) {
+	if s.Procs < 0 || s.Procs > workload.MaxSlots || s.Regions < 0 || s.Regions > workload.MaxSlots {
+		return Result{}, fmt.Errorf("sim: script %q uses %d process and %d region slots, limit %d each",
+			s.Name, s.Procs, s.Regions, workload.MaxSlots)
+	}
 	m.procs = make([]kernel.Pid, s.Procs)
 	m.regions = make([]uint64, s.Regions)
 	m.procNs = make([]uint64, s.Procs)
@@ -183,7 +190,7 @@ func (m *Machine) Run(s workload.Script) (Result, error) {
 			m.procs[op.Proc] = m.Kern.Spawn()
 		case workload.OpMmap:
 			var va uint64
-			va, m.now, err = m.Kern.Mmap(m.now, m.procs[op.Proc], op.Bytes, op.Huge)
+			va, m.now, err = m.Kern.Mmap(m.now, m.procs[op.Proc], op.Arg, op.Huge)
 			if err == nil {
 				m.regions[op.Region] = va
 			}
@@ -204,7 +211,7 @@ func (m *Machine) Run(s workload.Script) (Result, error) {
 		case workload.OpExit:
 			m.now, err = m.Kern.Exit(m.now, m.procs[op.Proc])
 		case workload.OpMunmap:
-			m.now, err = m.Kern.Munmap(m.now, m.procs[op.Proc], m.regions[op.Region]+op.Off, op.Bytes)
+			m.now, err = m.Kern.Munmap(m.now, m.procs[op.Proc], m.regions[op.Region]+op.Off, op.Arg)
 		case workload.OpKSM:
 			// op.Procs belongs to the (possibly shared) Script; copy it
 			// into a local slice so nothing handed downstream can alias
@@ -216,7 +223,7 @@ func (m *Machine) Run(s workload.Script) (Result, error) {
 			}
 			_, m.now, err = m.Kern.KSMMerge(m.now, refs)
 		case workload.OpCompute:
-			m.now += op.Ns
+			m.now += op.Arg
 		case workload.OpBeginMeasure:
 			// Quiesce first: dirty cache and metadata state left over from
 			// the setup phase would otherwise drain inside the measured
@@ -298,7 +305,7 @@ func (m *Machine) Run(s workload.Script) (Result, error) {
 // requests, so every scripted byte is transferred (no silent truncation).
 // A non-positive size degenerates to a single byte.
 func (m *Machine) access(now uint64, op *workload.Op) (uint64, error) {
-	size := op.Size
+	size := int(op.Size)
 	if size <= 0 {
 		size = 1
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"lelantus/internal/core"
@@ -207,3 +208,52 @@ func TestErrorsPropagate(t *testing.T) {
 }
 
 var _ = kernel.Pid(0) // keep the import for test helpers below
+
+// TestRunRejectsWideScripts: Op stores slots as uint16, so a script whose
+// slot counts exceed workload.MaxSlots would alias slots. Run must refuse
+// it before executing any op (the first op here would fail on its own).
+func TestRunRejectsWideScripts(t *testing.T) {
+	cases := []struct {
+		name           string
+		procs, regions int
+		ok             bool
+	}{
+		{"procs over", workload.MaxSlots + 1, 1, false},
+		{"regions over", 1, workload.MaxSlots + 1, false},
+		{"negative procs", -1, 1, false},
+		{"negative regions", 1, -1, false},
+		{"at the limit", workload.MaxSlots, workload.MaxSlots, true},
+	}
+	m, err := NewMachine(smallConfig(core.Baseline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := workload.NewBuilder(c.name).Load(0, 0, 0, 8).Script()
+			s.Procs, s.Regions = c.procs, c.regions
+			_, err := m.Run(s)
+			if c.ok {
+				// Within the limit the script runs and its first op fails:
+				// proc slot 0 was never spawned.
+				if err == nil || !strings.Contains(err.Error(), "op 0") {
+					t.Fatalf("want the op 0 failure, got %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "slots, limit") || strings.Contains(err.Error(), "op 0") {
+				t.Fatalf("want a slot-limit error before any op, got %v", err)
+			}
+		})
+	}
+}
+
+// TestBuilderSlotOverflowRejected: the Builder narrows a slot past the
+// uint16 range in the op but counts the real slot, so Run refuses it.
+func TestBuilderSlotOverflowRejected(t *testing.T) {
+	b := workload.NewBuilder("overflow")
+	b.Spawn(0).Fork(0, workload.MaxSlots) // the child would alias slot 0
+	if _, err := RunWith(smallConfig(core.Baseline), b.Script()); err == nil {
+		t.Fatal("script with slot MaxSlots ran")
+	}
+}

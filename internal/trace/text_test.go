@@ -51,13 +51,13 @@ func TestParseText(t *testing.T) {
 			t.Fatalf("op %d kind = %v, want %v", i, s.Ops[i].Kind, k)
 		}
 	}
-	if s.Ops[1].Bytes != 0x100000 || !s.Ops[1].Huge {
+	if s.Ops[1].Arg != 0x100000 || !s.Ops[1].Huge {
 		t.Fatalf("mmap decoded wrong: %+v", s.Ops[1])
 	}
 	if s.Ops[2].Val != 0xAB || s.Ops[2].Size != 8 || s.Ops[2].Off != 0x40 {
 		t.Fatalf("store decoded wrong: %+v", s.Ops[2])
 	}
-	if s.Ops[6].Ns != 1000 {
+	if s.Ops[6].Arg != 1000 {
 		t.Fatalf("compute decoded wrong: %+v", s.Ops[6])
 	}
 }

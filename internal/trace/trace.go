@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"lelantus/internal/workload"
 )
@@ -17,8 +18,160 @@ import (
 // magic identifies the binary format, versioned.
 var magic = []byte("LELT1\n")
 
-// maxOps bounds deserialised scripts (a corrupt length must not OOM).
+// maxOps bounds deserialised scripts.
 const maxOps = 1 << 28
+
+// initialOps caps the op capacity Read reserves from a header's count, so
+// a corrupt length cannot trigger an allocation its input does not back.
+const initialOps = 1 << 14
+
+// wireOp is one op as the on-disk formats spell it: the field names, order
+// and widths workload.Op had when LELT1 was defined. Every codec goes
+// through it, so the formats stay byte-identical whatever workload.Op's
+// in-memory layout is.
+type wireOp struct {
+	Kind    int
+	Proc    int
+	NewProc int
+	Region  int
+	Off     uint64
+	Bytes   uint64
+	Size    int
+	Val     byte
+	Huge    bool
+	Ns      uint64
+	Procs   []int
+}
+
+func toWire(op *workload.Op) wireOp {
+	w := wireOp{
+		Kind: int(op.Kind), Proc: int(op.Proc), NewProc: int(op.NewProc), Region: int(op.Region),
+		Off: op.Off, Size: int(op.Size), Val: op.Val, Huge: op.Huge, Procs: op.Procs,
+	}
+	if op.Kind == workload.OpCompute {
+		w.Ns = op.Arg
+	} else {
+		w.Bytes = op.Arg
+	}
+	return w
+}
+
+// op narrows the i-th wire op to a workload.Op, refusing any value the
+// in-memory layout cannot hold instead of truncating it.
+func (w *wireOp) op(i int) (workload.Op, error) {
+	fail := func(format string, args ...any) (workload.Op, error) {
+		return workload.Op{}, fmt.Errorf("trace: op %d: "+format, append([]any{i}, args...)...)
+	}
+	kind := workload.Kind(w.Kind)
+	if int(kind) != w.Kind || !kind.Valid() {
+		return fail("unknown kind %d", w.Kind)
+	}
+	for _, slot := range [...]int{w.Proc, w.NewProc, w.Region} {
+		if slot < 0 || slot >= workload.MaxSlots {
+			return fail("slot %d out of range [0, %d)", slot, workload.MaxSlots)
+		}
+	}
+	for _, slot := range w.Procs {
+		if slot < 0 || slot >= workload.MaxSlots {
+			return fail("KSM slot %d out of range [0, %d)", slot, workload.MaxSlots)
+		}
+	}
+	if w.Size < 0 || w.Size > math.MaxInt32 {
+		return fail("size %d out of range [0, %d]", w.Size, math.MaxInt32)
+	}
+	// Op keeps one argument word: a compute op's busy time, or any other
+	// op's byte length.
+	arg := w.Bytes
+	switch {
+	case kind == workload.OpCompute && w.Bytes != 0:
+		return fail("compute op carries a byte length (%d)", w.Bytes)
+	case kind == workload.OpCompute:
+		arg = w.Ns
+	case w.Ns != 0:
+		return fail("kind %d carries a busy time (%d); only compute ops have one", w.Kind, w.Ns)
+	}
+	return workload.Op{
+		Kind: kind, Proc: uint16(w.Proc), NewProc: uint16(w.NewProc), Region: uint16(w.Region),
+		Off: w.Off, Arg: arg, Size: int32(w.Size), Val: w.Val, Huge: w.Huge, Procs: w.Procs,
+	}, nil
+}
+
+// write appends w's LELT1 encoding; errors surface at bw.Flush.
+func (w *wireOp) write(bw *bufio.Writer) {
+	bw.WriteByte(byte(w.Kind))
+	writeUvarint(bw, uint64(w.Proc))
+	writeUvarint(bw, uint64(w.NewProc))
+	writeUvarint(bw, uint64(w.Region))
+	writeUvarint(bw, w.Off)
+	writeUvarint(bw, w.Bytes)
+	writeUvarint(bw, uint64(w.Size))
+	bw.WriteByte(w.Val)
+	if w.Huge {
+		bw.WriteByte(1)
+	} else {
+		bw.WriteByte(0)
+	}
+	writeUvarint(bw, w.Ns)
+	writeUvarint(bw, uint64(len(w.Procs)))
+	for _, p := range w.Procs {
+		writeUvarint(bw, uint64(p))
+	}
+}
+
+// readWire decodes one op's LELT1 encoding.
+func readWire(br *bufio.Reader) (wireOp, error) {
+	var w wireOp
+	kind, err := br.ReadByte()
+	if err != nil {
+		return w, err
+	}
+	w.Kind = int(kind)
+	if w.Proc, err = readInt(br); err != nil {
+		return w, err
+	}
+	if w.NewProc, err = readInt(br); err != nil {
+		return w, err
+	}
+	if w.Region, err = readInt(br); err != nil {
+		return w, err
+	}
+	if w.Off, err = binary.ReadUvarint(br); err != nil {
+		return w, err
+	}
+	if w.Bytes, err = binary.ReadUvarint(br); err != nil {
+		return w, err
+	}
+	if w.Size, err = readInt(br); err != nil {
+		return w, err
+	}
+	if w.Val, err = br.ReadByte(); err != nil {
+		return w, err
+	}
+	hb, err := br.ReadByte()
+	if err != nil {
+		return w, err
+	}
+	w.Huge = hb != 0
+	if w.Ns, err = binary.ReadUvarint(br); err != nil {
+		return w, err
+	}
+	nProcs, err := binary.ReadUvarint(br)
+	if err != nil {
+		return w, err
+	}
+	if nProcs > 1<<20 {
+		return w, fmt.Errorf("absurd KSM proc count %d", nProcs)
+	}
+	if nProcs > 0 {
+		w.Procs = make([]int, nProcs)
+		for j := range w.Procs {
+			if w.Procs[j], err = readInt(br); err != nil {
+				return w, err
+			}
+		}
+	}
+	return w, nil
+}
 
 // Write serialises the script in the binary format.
 func Write(w io.Writer, s workload.Script) error {
@@ -34,27 +187,9 @@ func Write(w io.Writer, s workload.Script) error {
 	writeUvarint(bw, uint64(s.Regions))
 	writeVarint(bw, int64(s.MeasureProc))
 	writeUvarint(bw, uint64(len(s.Ops)))
-	for _, op := range s.Ops {
-		if err := bw.WriteByte(byte(op.Kind)); err != nil {
-			return err
-		}
-		writeUvarint(bw, uint64(op.Proc))
-		writeUvarint(bw, uint64(op.NewProc))
-		writeUvarint(bw, uint64(op.Region))
-		writeUvarint(bw, op.Off)
-		writeUvarint(bw, op.Bytes)
-		writeUvarint(bw, uint64(op.Size))
-		bw.WriteByte(op.Val)
-		if op.Huge {
-			bw.WriteByte(1)
-		} else {
-			bw.WriteByte(0)
-		}
-		writeUvarint(bw, op.Ns)
-		writeUvarint(bw, uint64(len(op.Procs)))
-		for _, p := range op.Procs {
-			writeUvarint(bw, uint64(p))
-		}
+	for i := range s.Ops {
+		op := toWire(&s.Ops[i])
+		op.write(bw)
 	}
 	return bw.Flush()
 }
@@ -100,57 +235,17 @@ func Read(r io.Reader) (workload.Script, error) {
 	if nOps > maxOps {
 		return s, fmt.Errorf("trace: absurd op count %d", nOps)
 	}
-	s.Ops = make([]workload.Op, 0, nOps)
-	for i := uint64(0); i < nOps; i++ {
-		var op workload.Op
-		kind, err := br.ReadByte()
+	// The header count is only a claim: reserve at most initialOps and
+	// let append grow with the ops actually decoded.
+	s.Ops = make([]workload.Op, 0, min(nOps, initialOps))
+	for i := 0; i < int(nOps); i++ {
+		w, err := readWire(br)
 		if err != nil {
 			return s, fmt.Errorf("trace: op %d: %w", i, err)
 		}
-		op.Kind = workload.Kind(kind)
-		if op.Proc, err = readInt(br); err != nil {
-			return s, err
-		}
-		if op.NewProc, err = readInt(br); err != nil {
-			return s, err
-		}
-		if op.Region, err = readInt(br); err != nil {
-			return s, err
-		}
-		if op.Off, err = binary.ReadUvarint(br); err != nil {
-			return s, err
-		}
-		if op.Bytes, err = binary.ReadUvarint(br); err != nil {
-			return s, err
-		}
-		if op.Size, err = readInt(br); err != nil {
-			return s, err
-		}
-		if op.Val, err = br.ReadByte(); err != nil {
-			return s, err
-		}
-		hb, err := br.ReadByte()
+		op, err := w.op(i)
 		if err != nil {
 			return s, err
-		}
-		op.Huge = hb != 0
-		if op.Ns, err = binary.ReadUvarint(br); err != nil {
-			return s, err
-		}
-		nProcs, err := binary.ReadUvarint(br)
-		if err != nil {
-			return s, err
-		}
-		if nProcs > 1<<20 {
-			return s, fmt.Errorf("trace: absurd KSM proc count %d", nProcs)
-		}
-		if nProcs > 0 {
-			op.Procs = make([]int, nProcs)
-			for j := range op.Procs {
-				if op.Procs[j], err = readInt(br); err != nil {
-					return s, err
-				}
-			}
 		}
 		s.Ops = append(s.Ops, op)
 	}
@@ -176,20 +271,24 @@ func readInt(br *bufio.Reader) (int, error) {
 
 // jsonScript is the JSON wire form.
 type jsonScript struct {
-	Name        string        `json:"name"`
-	Procs       int           `json:"procs"`
-	Regions     int           `json:"regions"`
-	MeasureProc int           `json:"measure_proc"`
-	Ops         []workload.Op `json:"ops"`
+	Name        string   `json:"name"`
+	Procs       int      `json:"procs"`
+	Regions     int      `json:"regions"`
+	MeasureProc int      `json:"measure_proc"`
+	Ops         []wireOp `json:"ops"`
 }
 
 // WriteJSON serialises the script as indented JSON.
 func WriteJSON(w io.Writer, s workload.Script) error {
+	ops := make([]wireOp, len(s.Ops))
+	for i := range s.Ops {
+		ops[i] = toWire(&s.Ops[i])
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(jsonScript{
 		Name: s.Name, Procs: s.Procs, Regions: s.Regions,
-		MeasureProc: s.MeasureProc, Ops: s.Ops,
+		MeasureProc: s.MeasureProc, Ops: ops,
 	})
 }
 
@@ -199,10 +298,21 @@ func ReadJSON(r io.Reader) (workload.Script, error) {
 	if err := json.NewDecoder(r).Decode(&js); err != nil {
 		return workload.Script{}, err
 	}
-	return workload.Script{
+	s := workload.Script{
 		Name: js.Name, Procs: js.Procs, Regions: js.Regions,
-		MeasureProc: js.MeasureProc, Ops: js.Ops,
-	}, nil
+		MeasureProc: js.MeasureProc,
+	}
+	if js.Ops != nil {
+		s.Ops = make([]workload.Op, len(js.Ops))
+	}
+	for i := range js.Ops {
+		op, err := js.Ops[i].op(i)
+		if err != nil {
+			return workload.Script{}, err
+		}
+		s.Ops[i] = op
+	}
+	return s, nil
 }
 
 // Disassemble prints up to max ops (0 = all) in readable form.

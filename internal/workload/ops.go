@@ -7,18 +7,24 @@
 // A script is a flat list of operations over process and region *slots*;
 // the simulator binds slots to kernel PIDs and mmap-returned addresses at
 // execution time, so scripts are position-independent and deterministic.
+//
+// Scripts are the largest live data of a Fig. 9 run (redis alone is over
+// half a million ops), so an Op is packed into 56 bytes: slots are uint16
+// (a script uses at most MaxSlots of each kind), access sizes are int32,
+// and the mmap/munmap length and the compute busy time share one argument
+// word. The trace package's on-disk formats do not depend on this layout.
 package workload
 
 import "fmt"
 
 // Kind enumerates script operations.
-type Kind int
+type Kind uint8
 
 const (
 	// OpSpawn creates the initial process for a slot.
 	OpSpawn Kind = iota
-	// OpMmap maps Bytes of anonymous memory (huge pages if Huge) into the
-	// process and binds the result to the region slot.
+	// OpMmap maps Arg bytes of anonymous memory (huge pages if Huge) into
+	// the process and binds the result to the region slot.
 	OpMmap
 	// OpLoad reads Size bytes at Region+Off.
 	OpLoad
@@ -31,11 +37,11 @@ const (
 	OpFork
 	// OpExit terminates the process.
 	OpExit
-	// OpMunmap unmaps Bytes at Region+Off.
+	// OpMunmap unmaps Arg bytes at Region+Off.
 	OpMunmap
 	// OpKSM merges the page at Region+Off across the listed process slots.
 	OpKSM
-	// OpCompute models off-memory CPU work: the process burns Ns
+	// OpCompute models off-memory CPU work: the process burns Arg
 	// nanoseconds without issuing memory requests. Real applications
 	// spend most of their time here; without it every workload would be
 	// a pure memory stress and speedups would be inflated.
@@ -48,19 +54,29 @@ const (
 	OpEndMeasure
 )
 
-// Op is one scripted operation.
+// Valid reports whether k is a defined operation kind.
+func (k Kind) Valid() bool { return k <= OpEndMeasure }
+
+// MaxSlots bounds the process and region slots of one script: Op stores
+// slot indices as uint16.
+const MaxSlots = 1 << 16
+
+// Op is one scripted operation. Fields are ordered largest first so the
+// struct packs into 56 bytes; Procs is its only pointer-bearing field.
 type Op struct {
+	Off uint64
+	// Arg is the operation's argument word: the length in bytes for
+	// OpMmap and OpMunmap, the busy time in ns for OpCompute. No kind
+	// uses both.
+	Arg     uint64
+	Procs   []int // OpKSM: process slots to merge across
+	Size    int32
+	Proc    uint16
+	NewProc uint16
+	Region  uint16
 	Kind    Kind
-	Proc    int
-	NewProc int
-	Region  int
-	Off     uint64
-	Bytes   uint64
-	Size    int
 	Val     byte
 	Huge    bool
-	Ns      uint64 // OpCompute: busy time
-	Procs   []int  // OpKSM: process slots to merge across
 }
 
 func (o Op) String() string {
@@ -68,7 +84,7 @@ func (o Op) String() string {
 	case OpSpawn:
 		return fmt.Sprintf("spawn p%d", o.Proc)
 	case OpMmap:
-		return fmt.Sprintf("mmap p%d r%d %dB huge=%v", o.Proc, o.Region, o.Bytes, o.Huge)
+		return fmt.Sprintf("mmap p%d r%d %dB huge=%v", o.Proc, o.Region, o.Arg, o.Huge)
 	case OpLoad:
 		return fmt.Sprintf("load p%d r%d+%#x %dB", o.Proc, o.Region, o.Off, o.Size)
 	case OpStore:
@@ -80,11 +96,11 @@ func (o Op) String() string {
 	case OpExit:
 		return fmt.Sprintf("exit p%d", o.Proc)
 	case OpMunmap:
-		return fmt.Sprintf("munmap p%d r%d+%#x %dB", o.Proc, o.Region, o.Off, o.Bytes)
+		return fmt.Sprintf("munmap p%d r%d+%#x %dB", o.Proc, o.Region, o.Off, o.Arg)
 	case OpKSM:
 		return fmt.Sprintf("ksm r%d+%#x procs=%v", o.Region, o.Off, o.Procs)
 	case OpCompute:
-		return fmt.Sprintf("compute p%d %dns", o.Proc, o.Ns)
+		return fmt.Sprintf("compute p%d %dns", o.Proc, o.Arg)
 	case OpBeginMeasure:
 		return "begin-measure"
 	case OpEndMeasure:
@@ -113,7 +129,11 @@ type Script struct {
 	MeasureProc int
 }
 
-// Builder assembles scripts with slot bookkeeping.
+// Builder assembles scripts with slot bookkeeping. Slot arguments are
+// narrowed to Op's uint16 fields, but Script.Procs and Script.Regions are
+// derived from the untruncated slot numbers, so a script that used a slot
+// at or above MaxSlots carries a count above MaxSlots and sim.Machine.Run
+// rejects it before running any op. Access sizes must fit in an int32.
 type Builder struct {
 	s Script
 }
@@ -140,7 +160,7 @@ func (b *Builder) touchRegion(r int) {
 // Spawn creates process slot p.
 func (b *Builder) Spawn(p int) *Builder {
 	b.touchProc(p)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpSpawn, Proc: p})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpSpawn, Proc: uint16(p)})
 	return b
 }
 
@@ -148,7 +168,7 @@ func (b *Builder) Spawn(p int) *Builder {
 func (b *Builder) Mmap(p, r int, bytes uint64, huge bool) *Builder {
 	b.touchProc(p)
 	b.touchRegion(r)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpMmap, Proc: p, Region: r, Bytes: bytes, Huge: huge})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpMmap, Proc: uint16(p), Region: uint16(r), Arg: bytes, Huge: huge})
 	return b
 }
 
@@ -156,7 +176,7 @@ func (b *Builder) Mmap(p, r int, bytes uint64, huge bool) *Builder {
 func (b *Builder) Load(p, r int, off uint64, size int) *Builder {
 	b.touchProc(p)
 	b.touchRegion(r)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpLoad, Proc: p, Region: r, Off: off, Size: size})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpLoad, Proc: uint16(p), Region: uint16(r), Off: off, Size: int32(size)})
 	return b
 }
 
@@ -164,7 +184,7 @@ func (b *Builder) Load(p, r int, off uint64, size int) *Builder {
 func (b *Builder) Store(p, r int, off uint64, size int, val byte) *Builder {
 	b.touchProc(p)
 	b.touchRegion(r)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpStore, Proc: p, Region: r, Off: off, Size: size, Val: val})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpStore, Proc: uint16(p), Region: uint16(r), Off: off, Size: int32(size), Val: val})
 	return b
 }
 
@@ -172,21 +192,21 @@ func (b *Builder) Store(p, r int, off uint64, size int, val byte) *Builder {
 func (b *Builder) StoreNT(p, r int, off uint64, val byte) *Builder {
 	b.touchProc(p)
 	b.touchRegion(r)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpStoreNT, Proc: p, Region: r, Off: off, Val: val})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpStoreNT, Proc: uint16(p), Region: uint16(r), Off: off, Val: val})
 	return b
 }
 
 // Fork forks p into slot child.
 func (b *Builder) Fork(p, child int) *Builder {
 	b.touchProc(p, child)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpFork, Proc: p, NewProc: child})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpFork, Proc: uint16(p), NewProc: uint16(child)})
 	return b
 }
 
 // Exit terminates process p.
 func (b *Builder) Exit(p int) *Builder {
 	b.touchProc(p)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpExit, Proc: p})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpExit, Proc: uint16(p)})
 	return b
 }
 
@@ -194,7 +214,7 @@ func (b *Builder) Exit(p int) *Builder {
 func (b *Builder) Munmap(p, r int, off, bytes uint64) *Builder {
 	b.touchProc(p)
 	b.touchRegion(r)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpMunmap, Proc: p, Region: r, Off: off, Bytes: bytes})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpMunmap, Proc: uint16(p), Region: uint16(r), Off: off, Arg: bytes})
 	return b
 }
 
@@ -202,14 +222,14 @@ func (b *Builder) Munmap(p, r int, off, bytes uint64) *Builder {
 func (b *Builder) KSM(r int, off uint64, procs ...int) *Builder {
 	b.touchRegion(r)
 	b.touchProc(procs...)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpKSM, Region: r, Off: off, Procs: procs})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpKSM, Region: uint16(r), Off: off, Procs: procs})
 	return b
 }
 
 // Compute burns ns nanoseconds of CPU time in process p.
 func (b *Builder) Compute(p int, ns uint64) *Builder {
 	b.touchProc(p)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpCompute, Proc: p, Ns: ns})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpCompute, Proc: uint16(p), Arg: ns})
 	return b
 }
 

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"lelantus/internal/mem"
 )
@@ -24,7 +26,7 @@ func validate(t *testing.T, s Script) {
 			}
 			continue
 		}
-		if op.Proc >= s.Procs {
+		if int(op.Proc) >= s.Procs {
 			t.Fatalf("op %d (%s): proc slot %d out of range %d", i, op, op.Proc, s.Procs)
 		}
 		switch op.Kind {
@@ -294,6 +296,59 @@ func TestVMCloneSkipsKSMOnHuge(t *testing.T) {
 		}
 		if hasKSM == huge {
 			t.Fatalf("huge=%v: KSM presence=%v (KSM only merges 4KB pages)", huge, hasKSM)
+		}
+	}
+}
+
+// TestOpLayout pins the compact script layout: 56 bytes per op, and Procs
+// as the only field the garbage collector has to scan.
+func TestOpLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n > 56 {
+		t.Fatalf("sizeof(Op) = %d, want <= 56", n)
+	}
+	ty := reflect.TypeOf(Op{})
+	for i := 0; i < ty.NumField(); i++ {
+		f := ty.Field(i)
+		if hasPointers(f.Type) != (f.Name == "Procs") {
+			t.Errorf("field %s (%s): pointer-bearing = %v", f.Name, f.Type, hasPointers(f.Type))
+		}
+	}
+}
+
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.String, reflect.UnsafePointer:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestBuilderCountsUntruncatedSlots: a slot beyond Op's uint16 range is
+// narrowed in the op, but the script's slot counts keep the real number so
+// the simulator can refuse the script instead of aliasing slots.
+func TestBuilderCountsUntruncatedSlots(t *testing.T) {
+	b := NewBuilder("wide")
+	b.Spawn(0).Fork(0, MaxSlots).Mmap(0, MaxSlots+4, 4096, false)
+	s := b.Script()
+	if s.Procs != MaxSlots+1 || s.Regions != MaxSlots+5 {
+		t.Fatalf("procs=%d regions=%d, want %d and %d", s.Procs, s.Regions, MaxSlots+1, MaxSlots+5)
+	}
+}
+
+func TestSharedArgWord(t *testing.T) {
+	s := NewBuilder("arg").Spawn(0).Mmap(0, 0, 1<<21, true).Compute(0, 777).Munmap(0, 0, 0, 4096).Script()
+	for i, want := range []uint64{0, 1 << 21, 777, 4096} {
+		if s.Ops[i].Arg != want {
+			t.Errorf("op %d (%s): Arg = %d, want %d", i, s.Ops[i], s.Ops[i].Arg, want)
 		}
 	}
 }
