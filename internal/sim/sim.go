@@ -166,9 +166,13 @@ func (m *Machine) snapInto(dst *snapshot) {
 // therefore be shared by many machines running concurrently — RunGrid and
 // the experiment harness's script interning rely on this.
 //
-// A script whose slot counts exceed workload.MaxSlots is rejected before
-// any op runs: its ops' uint16 slot fields would alias distinct slots.
+// A script whose slot counts exceed workload.MaxSlots, or whose Builder
+// recorded an argument an Op could not hold, is rejected before any op
+// runs: its ops' narrowed fields would alias slots or resize accesses.
 func (m *Machine) Run(s workload.Script) (Result, error) {
+	if err := s.Err(); err != nil {
+		return Result{}, fmt.Errorf("sim: script %q: %w", s.Name, err)
+	}
 	if s.Procs < 0 || s.Procs > workload.MaxSlots || s.Regions < 0 || s.Regions > workload.MaxSlots {
 		return Result{}, fmt.Errorf("sim: script %q uses %d process and %d region slots, limit %d each",
 			s.Name, s.Procs, s.Regions, workload.MaxSlots)

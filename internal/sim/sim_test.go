@@ -248,12 +248,15 @@ func TestRunRejectsWideScripts(t *testing.T) {
 	}
 }
 
-// TestBuilderSlotOverflowRejected: the Builder narrows a slot past the
-// uint16 range in the op but counts the real slot, so Run refuses it.
-func TestBuilderSlotOverflowRejected(t *testing.T) {
-	b := workload.NewBuilder("overflow")
-	b.Spawn(0).Fork(0, workload.MaxSlots) // the child would alias slot 0
-	if _, err := RunWith(smallConfig(core.Baseline), b.Script()); err == nil {
-		t.Fatal("script with slot MaxSlots ran")
+// TestBuilderOverflowRejected: a slot or size the Builder had to narrow
+// is recorded in the script's Err, so Run refuses it before any op.
+func TestBuilderOverflowRejected(t *testing.T) {
+	for name, s := range map[string]workload.Script{
+		"slot": workload.NewBuilder("slot").Spawn(0).Fork(0, workload.MaxSlots).Script(), // the child would alias slot 0
+		"size": workload.NewBuilder("size").Spawn(0).Mmap(0, 0, 4096, false).Load(0, 0, 0, 1<<32).Script(),
+	} {
+		if _, err := RunWith(smallConfig(core.Baseline), s); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: got %v, want an out-of-range error", name, err)
+		}
 	}
 }

@@ -4,15 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"flag"
-	"fmt"
 	"reflect"
 	"testing"
 
 	"lelantus/internal/workload"
 )
-
-var printGolden = flag.Bool("golden.print", false, "print the catalogue encoding digests instead of checking them")
 
 // goldenDigests are the SHA-256 digests of the LELT1 and JSON encodings of
 // every catalogue script at seed 1, keyed "<workload>/<page mode>/<format>".
@@ -78,17 +74,6 @@ func TestCatalogueEncodingsGolden(t *testing.T) {
 			}
 			got[key+"/json"] = hex.EncodeToString(h.Sum(nil))
 		}
-	}
-	if *printGolden {
-		for _, spec := range workload.Catalogue() {
-			for _, mode := range []string{"4KB", "2MB"} {
-				for _, f := range []string{"lelt1", "json"} {
-					k := spec.Name + "/" + mode + "/" + f
-					fmt.Printf("\t%q: %q,\n", k, got[k])
-				}
-			}
-		}
-		return
 	}
 	if len(got) != len(goldenDigests) {
 		t.Fatalf("%d encodings, %d golden digests", len(got), len(goldenDigests))

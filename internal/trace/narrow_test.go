@@ -156,3 +156,52 @@ func TestReadCorruptCountDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Read allocated %d bytes for an empty op stream", d)
 	}
 }
+
+// TestWriteJSONMatchesEncoder: the streaming WriteJSON writes the bytes a
+// json.Encoder writes for the whole jsonScript, including the nil and
+// empty op lists and names that need escaping.
+func TestWriteJSONMatchesEncoder(t *testing.T) {
+	ksm := workload.NewBuilder(`a "quoted" <name> & more`).
+		Spawn(0).Fork(0, 1).Mmap(0, 0, 8192, true).Compute(1, 9).KSM(0, 4096, 0, 1).Script()
+	scripts := []workload.Script{
+		{Name: "nil ops", MeasureProc: -1},
+		{Name: "empty ops", Ops: []workload.Op{}, MeasureProc: 2},
+		ksm,
+	}
+	for _, s := range scripts {
+		var got, want bytes.Buffer
+		if err := WriteJSON(&got, s); err != nil {
+			t.Fatal(err)
+		}
+		js := jsonScript{Name: s.Name, Procs: s.Procs, Regions: s.Regions, MeasureProc: s.MeasureProc}
+		if s.Ops != nil {
+			js.Ops = make([]wireOp, len(s.Ops))
+			for i := range s.Ops {
+				js.Ops[i] = toWire(&s.Ops[i])
+			}
+		}
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(js); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s:\ngot  %q\nwant %q", s.Name, got.String(), want.String())
+		}
+	}
+}
+
+// TestEncodersRefuseBuilderErrors: a script whose Builder had to narrow an
+// argument holds truncated ops, so neither encoder records it.
+func TestEncodersRefuseBuilderErrors(t *testing.T) {
+	s := workload.NewBuilder("wide").Spawn(0).Load(0, 0, 0, 1<<32).Script()
+	for name, enc := range map[string]func(*bytes.Buffer, workload.Script) error{
+		"lelt1": func(b *bytes.Buffer, s workload.Script) error { return Write(b, s) },
+		"json":  func(b *bytes.Buffer, s workload.Script) error { return WriteJSON(b, s) },
+	} {
+		var buf bytes.Buffer
+		if err := enc(&buf, s); err == nil || !strings.Contains(err.Error(), "op 1: size 4294967296") {
+			t.Errorf("%s: got %v, want the op 1 size error", name, err)
+		}
+	}
+}

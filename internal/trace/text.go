@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -54,23 +53,6 @@ func ParseText(r io.Reader) (workload.Script, error) {
 		argErr := func(err error) (workload.Script, error) {
 			return workload.Script{}, fmt.Errorf("trace: line %d: %v: %q", lineNo, err, line)
 		}
-		// narrow holds the first value on this line that workload.Op
-		// cannot hold; the line fails with it once its fields parse.
-		var narrow error
-		slot := func(i int) (uint64, error) {
-			v, err := num(i)
-			if err == nil && v >= workload.MaxSlots && narrow == nil {
-				narrow = fmt.Errorf("op %d: slot %d out of range [0, %d)", len(b.Script().Ops), v, workload.MaxSlots)
-			}
-			return v, err
-		}
-		accessSize := func(i int) (uint64, error) {
-			v, err := num(i)
-			if err == nil && v > math.MaxInt32 && narrow == nil {
-				narrow = fmt.Errorf("op %d: size %d out of range [0, %d]", len(b.Script().Ops), v, math.MaxInt32)
-			}
-			return v, err
-		}
 		switch f[0] {
 		case "name":
 			if len(f) < 2 {
@@ -84,14 +66,14 @@ func ParseText(r io.Reader) (workload.Script, error) {
 			}
 			measureProc = int(v)
 		case "spawn":
-			p, err := slot(1)
+			p, err := num(1)
 			if err != nil {
 				return argErr(err)
 			}
 			b.Spawn(int(p))
 		case "mmap":
-			p, err1 := slot(1)
-			reg, err2 := slot(2)
+			p, err1 := num(1)
+			reg, err2 := num(2)
 			bytes, err3 := num(3)
 			if err1 != nil || err2 != nil || err3 != nil {
 				return fail("mmap <p> <r> <bytes> [huge]")
@@ -99,27 +81,27 @@ func ParseText(r io.Reader) (workload.Script, error) {
 			huge := len(f) > 4 && f[4] == "huge"
 			b.Mmap(int(p), int(reg), bytes, huge)
 		case "load":
-			p, err1 := slot(1)
-			reg, err2 := slot(2)
+			p, err1 := num(1)
+			reg, err2 := num(2)
 			off, err3 := num(3)
-			size, err4 := accessSize(4)
+			size, err4 := num(4)
 			if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 				return fail("load <p> <r> <off> <size>")
 			}
 			b.Load(int(p), int(reg), off, int(size))
 		case "store":
-			p, err1 := slot(1)
-			reg, err2 := slot(2)
+			p, err1 := num(1)
+			reg, err2 := num(2)
 			off, err3 := num(3)
-			size, err4 := accessSize(4)
+			size, err4 := num(4)
 			val, err5 := num(5)
 			if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
 				return fail("store <p> <r> <off> <size> <val>")
 			}
 			b.Store(int(p), int(reg), off, int(size), byte(val))
 		case "storent":
-			p, err1 := slot(1)
-			reg, err2 := slot(2)
+			p, err1 := num(1)
+			reg, err2 := num(2)
 			off, err3 := num(3)
 			val, err4 := num(4)
 			if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
@@ -127,28 +109,28 @@ func ParseText(r io.Reader) (workload.Script, error) {
 			}
 			b.StoreNT(int(p), int(reg), off, byte(val))
 		case "fork":
-			p, err1 := slot(1)
-			c, err2 := slot(2)
+			p, err1 := num(1)
+			c, err2 := num(2)
 			if err1 != nil || err2 != nil {
 				return fail("fork <p> <child>")
 			}
 			b.Fork(int(p), int(c))
 		case "compute":
-			p, err1 := slot(1)
+			p, err1 := num(1)
 			ns, err2 := num(2)
 			if err1 != nil || err2 != nil {
 				return fail("compute <p> <ns>")
 			}
 			b.Compute(int(p), ns)
 		case "ksm":
-			reg, err1 := slot(1)
+			reg, err1 := num(1)
 			off, err2 := num(2)
 			if err1 != nil || err2 != nil || len(f) < 5 {
 				return fail("ksm <r> <off> <p> <p> [p...]")
 			}
 			procs := make([]int, 0, len(f)-3)
 			for i := 3; i < len(f); i++ {
-				v, err := slot(i)
+				v, err := num(i)
 				if err != nil {
 					return argErr(err)
 				}
@@ -156,8 +138,8 @@ func ParseText(r io.Reader) (workload.Script, error) {
 			}
 			b.KSM(int(reg), off, procs...)
 		case "munmap":
-			p, err1 := slot(1)
-			reg, err2 := slot(2)
+			p, err1 := num(1)
+			reg, err2 := num(2)
 			off, err3 := num(3)
 			bytes, err4 := num(4)
 			if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
@@ -169,7 +151,7 @@ func ParseText(r io.Reader) (workload.Script, error) {
 		case "end":
 			b.EndMeasure()
 		case "exit":
-			p, err := slot(1)
+			p, err := num(1)
 			if err != nil {
 				return argErr(err)
 			}
@@ -177,8 +159,9 @@ func ParseText(r io.Reader) (workload.Script, error) {
 		default:
 			return fail("unknown op")
 		}
-		if narrow != nil {
-			return argErr(narrow)
+		// The Builder refuses any slot or size an Op field cannot hold.
+		if err := b.Err(); err != nil {
+			return argErr(err)
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
 	"lelantus/internal/workload"
 )
@@ -67,17 +66,17 @@ func (w *wireOp) op(i int) (workload.Op, error) {
 		return fail("unknown kind %d", w.Kind)
 	}
 	for _, slot := range [...]int{w.Proc, w.NewProc, w.Region} {
-		if slot < 0 || slot >= workload.MaxSlots {
-			return fail("slot %d out of range [0, %d)", slot, workload.MaxSlots)
+		if err := workload.CheckSlot(slot); err != nil {
+			return fail("%v", err)
 		}
 	}
 	for _, slot := range w.Procs {
-		if slot < 0 || slot >= workload.MaxSlots {
-			return fail("KSM slot %d out of range [0, %d)", slot, workload.MaxSlots)
+		if err := workload.CheckSlot(slot); err != nil {
+			return fail("KSM %v", err)
 		}
 	}
-	if w.Size < 0 || w.Size > math.MaxInt32 {
-		return fail("size %d out of range [0, %d]", w.Size, math.MaxInt32)
+	if err := workload.CheckSize(w.Size); err != nil {
+		return fail("%v", err)
 	}
 	// Op keeps one argument word: a compute op's busy time, or any other
 	// op's byte length.
@@ -173,8 +172,12 @@ func readWire(br *bufio.Reader) (wireOp, error) {
 	return w, nil
 }
 
-// Write serialises the script in the binary format.
+// Write serialises the script in the binary format. A script with a
+// non-nil Err is refused: its ops hold truncated values.
 func Write(w io.Writer, s workload.Script) error {
+	if err := s.Err(); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(magic); err != nil {
 		return err
@@ -278,18 +281,44 @@ type jsonScript struct {
 	Ops         []wireOp `json:"ops"`
 }
 
-// WriteJSON serialises the script as indented JSON.
+// WriteJSON serialises the script as indented JSON, refusing a script
+// with a non-nil Err as Write does. It streams one op at a time, writing
+// the same bytes a json.Encoder with a one-space indent writes for the
+// whole jsonScript.
 func WriteJSON(w io.Writer, s workload.Script) error {
-	ops := make([]wireOp, len(s.Ops))
-	for i := range s.Ops {
-		ops[i] = toWire(&s.Ops[i])
+	if err := s.Err(); err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(jsonScript{
-		Name: s.Name, Procs: s.Procs, Regions: s.Regions,
-		MeasureProc: s.MeasureProc, Ops: ops,
-	})
+	name, err := json.Marshal(s.Name)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "{\n \"name\": %s,\n \"procs\": %d,\n \"regions\": %d,\n \"measure_proc\": %d,\n \"ops\": ",
+		name, s.Procs, s.Regions, s.MeasureProc)
+	switch {
+	case s.Ops == nil:
+		bw.WriteString("null")
+	case len(s.Ops) == 0:
+		bw.WriteString("[]")
+	default:
+		bw.WriteString("[\n")
+		for i := range s.Ops {
+			op, err := json.MarshalIndent(toWire(&s.Ops[i]), "  ", " ")
+			if err != nil {
+				return err
+			}
+			bw.WriteString("  ")
+			bw.Write(op)
+			if i < len(s.Ops)-1 {
+				bw.WriteByte(',')
+			}
+			bw.WriteByte('\n')
+		}
+		bw.WriteString(" ]")
+	}
+	bw.WriteString("\n}\n")
+	return bw.Flush()
 }
 
 // ReadJSON deserialises a JSON script.

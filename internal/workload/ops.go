@@ -15,7 +15,10 @@
 // word. The trace package's on-disk formats do not depend on this layout.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Kind enumerates script operations.
 type Kind uint8
@@ -60,6 +63,22 @@ func (k Kind) Valid() bool { return k <= OpEndMeasure }
 // MaxSlots bounds the process and region slots of one script: Op stores
 // slot indices as uint16.
 const MaxSlots = 1 << 16
+
+// CheckSlot returns an error unless v fits an Op slot field.
+func CheckSlot(v int) error {
+	if v < 0 || v >= MaxSlots {
+		return fmt.Errorf("slot %d out of range [0, %d)", v, MaxSlots)
+	}
+	return nil
+}
+
+// CheckSize returns an error unless v fits Op.Size.
+func CheckSize(v int) error {
+	if v < 0 || v > math.MaxInt32 {
+		return fmt.Errorf("size %d out of range [0, %d]", v, math.MaxInt32)
+	}
+	return nil
+}
 
 // Op is one scripted operation. Fields are ordered largest first so the
 // struct packs into 56 bytes; Procs is its only pointer-bearing field.
@@ -127,13 +146,22 @@ type Script struct {
 	// paper's Redis experiment measures the parent's insert latency while
 	// the bgsave child runs). -1 measures wall-clock machine time.
 	MeasureProc int
+	// err is the first Builder argument an Op field could not hold.
+	err error
 }
 
-// Builder assembles scripts with slot bookkeeping. Slot arguments are
-// narrowed to Op's uint16 fields, but Script.Procs and Script.Regions are
-// derived from the untruncated slot numbers, so a script that used a slot
-// at or above MaxSlots carries a count above MaxSlots and sim.Machine.Run
-// rejects it before running any op. Access sizes must fit in an int32.
+// Err returns the first slot or size passed to the Builder that made s
+// which an Op field cannot hold, naming its op index; nil if there was
+// none. sim.Machine.Run and the trace encoders refuse a script with a
+// non-nil Err rather than run or record truncated values.
+func (s Script) Err() error { return s.err }
+
+// Builder assembles scripts with slot bookkeeping. Arguments are narrowed
+// to Op's fields, but never silently: the first slot outside CheckSlot's
+// range or size outside CheckSize's is recorded in the script's Err, and
+// Script.Procs and Script.Regions are derived from the untruncated slot
+// numbers. Either way sim.Machine.Run rejects the script before running
+// any op.
 type Builder struct {
 	s Script
 }
@@ -141,6 +169,25 @@ type Builder struct {
 // NewBuilder starts a script with the given name.
 func NewBuilder(name string) *Builder {
 	return &Builder{s: Script{Name: name, MeasureProc: -1}}
+}
+
+// Err returns the script's Err so far.
+func (b *Builder) Err() error { return b.s.err }
+
+func (b *Builder) check(err error) {
+	if err != nil && b.s.err == nil {
+		b.s.err = fmt.Errorf("workload: op %d: %w", len(b.s.Ops), err)
+	}
+}
+
+func (b *Builder) slot(v int) uint16 {
+	b.check(CheckSlot(v))
+	return uint16(v)
+}
+
+func (b *Builder) size(v int) int32 {
+	b.check(CheckSize(v))
+	return int32(v)
 }
 
 func (b *Builder) touchProc(slots ...int) {
@@ -160,7 +207,7 @@ func (b *Builder) touchRegion(r int) {
 // Spawn creates process slot p.
 func (b *Builder) Spawn(p int) *Builder {
 	b.touchProc(p)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpSpawn, Proc: uint16(p)})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpSpawn, Proc: b.slot(p)})
 	return b
 }
 
@@ -168,7 +215,7 @@ func (b *Builder) Spawn(p int) *Builder {
 func (b *Builder) Mmap(p, r int, bytes uint64, huge bool) *Builder {
 	b.touchProc(p)
 	b.touchRegion(r)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpMmap, Proc: uint16(p), Region: uint16(r), Arg: bytes, Huge: huge})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpMmap, Proc: b.slot(p), Region: b.slot(r), Arg: bytes, Huge: huge})
 	return b
 }
 
@@ -176,7 +223,7 @@ func (b *Builder) Mmap(p, r int, bytes uint64, huge bool) *Builder {
 func (b *Builder) Load(p, r int, off uint64, size int) *Builder {
 	b.touchProc(p)
 	b.touchRegion(r)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpLoad, Proc: uint16(p), Region: uint16(r), Off: off, Size: int32(size)})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpLoad, Proc: b.slot(p), Region: b.slot(r), Off: off, Size: b.size(size)})
 	return b
 }
 
@@ -184,7 +231,7 @@ func (b *Builder) Load(p, r int, off uint64, size int) *Builder {
 func (b *Builder) Store(p, r int, off uint64, size int, val byte) *Builder {
 	b.touchProc(p)
 	b.touchRegion(r)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpStore, Proc: uint16(p), Region: uint16(r), Off: off, Size: int32(size), Val: val})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpStore, Proc: b.slot(p), Region: b.slot(r), Off: off, Size: b.size(size), Val: val})
 	return b
 }
 
@@ -192,21 +239,21 @@ func (b *Builder) Store(p, r int, off uint64, size int, val byte) *Builder {
 func (b *Builder) StoreNT(p, r int, off uint64, val byte) *Builder {
 	b.touchProc(p)
 	b.touchRegion(r)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpStoreNT, Proc: uint16(p), Region: uint16(r), Off: off, Val: val})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpStoreNT, Proc: b.slot(p), Region: b.slot(r), Off: off, Val: val})
 	return b
 }
 
 // Fork forks p into slot child.
 func (b *Builder) Fork(p, child int) *Builder {
 	b.touchProc(p, child)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpFork, Proc: uint16(p), NewProc: uint16(child)})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpFork, Proc: b.slot(p), NewProc: b.slot(child)})
 	return b
 }
 
 // Exit terminates process p.
 func (b *Builder) Exit(p int) *Builder {
 	b.touchProc(p)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpExit, Proc: uint16(p)})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpExit, Proc: b.slot(p)})
 	return b
 }
 
@@ -214,7 +261,7 @@ func (b *Builder) Exit(p int) *Builder {
 func (b *Builder) Munmap(p, r int, off, bytes uint64) *Builder {
 	b.touchProc(p)
 	b.touchRegion(r)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpMunmap, Proc: uint16(p), Region: uint16(r), Off: off, Arg: bytes})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpMunmap, Proc: b.slot(p), Region: b.slot(r), Off: off, Arg: bytes})
 	return b
 }
 
@@ -222,14 +269,17 @@ func (b *Builder) Munmap(p, r int, off, bytes uint64) *Builder {
 func (b *Builder) KSM(r int, off uint64, procs ...int) *Builder {
 	b.touchRegion(r)
 	b.touchProc(procs...)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpKSM, Region: uint16(r), Off: off, Procs: procs})
+	for _, p := range procs {
+		b.check(CheckSlot(p))
+	}
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpKSM, Region: b.slot(r), Off: off, Procs: procs})
 	return b
 }
 
 // Compute burns ns nanoseconds of CPU time in process p.
 func (b *Builder) Compute(p int, ns uint64) *Builder {
 	b.touchProc(p)
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpCompute, Proc: uint16(p), Arg: ns})
+	b.s.Ops = append(b.s.Ops, Op{Kind: OpCompute, Proc: b.slot(p), Arg: ns})
 	return b
 }
 

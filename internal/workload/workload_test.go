@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -341,6 +343,40 @@ func TestBuilderCountsUntruncatedSlots(t *testing.T) {
 	s := b.Script()
 	if s.Procs != MaxSlots+1 || s.Regions != MaxSlots+5 {
 		t.Fatalf("procs=%d regions=%d, want %d and %d", s.Procs, s.Regions, MaxSlots+1, MaxSlots+5)
+	}
+}
+
+// TestBuilderRecordsUnrepresentableArgs: a slot or size an Op field cannot
+// hold is recorded, with its op index, in the script's Err (the first one
+// wins) instead of being silently truncated.
+func TestBuilderRecordsUnrepresentableArgs(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(b *Builder)
+		want  string
+	}{
+		{"size wraps to zero", func(b *Builder) { b.Load(0, 0, 0, 1<<32) }, "size 4294967296"},
+		{"size wraps negative", func(b *Builder) { b.Store(0, 0, 0, 1<<31, 1) }, "size 2147483648"},
+		{"negative size", func(b *Builder) { b.Load(0, 0, 0, -8) }, "size -8"},
+		{"proc slot", func(b *Builder) { b.Exit(MaxSlots) }, "slot 65536"},
+		{"negative proc slot", func(b *Builder) { b.Compute(-1, 5) }, "slot -1"},
+		{"child slot", func(b *Builder) { b.Fork(0, MaxSlots) }, "slot 65536"},
+		{"region slot", func(b *Builder) { b.Munmap(0, MaxSlots+4, 0, 4096) }, "slot 65540"},
+		{"KSM slot", func(b *Builder) { b.KSM(0, 0, 0, -1) }, "slot -1"},
+		{"first wins", func(b *Builder) { b.Load(0, 0, 0, 1<<40).Spawn(MaxSlots) }, "size 1099511627776"},
+	}
+	for _, c := range cases {
+		b := NewBuilder(c.name).Spawn(0)
+		c.build(b)
+		err := b.Script().Err()
+		if err == nil || !strings.Contains(err.Error(), "op 1: "+c.want) {
+			t.Errorf("%s: Err = %v, want an op 1 error containing %q", c.name, err, c.want)
+		}
+	}
+	top := MaxSlots - 1
+	ok := NewBuilder("limits").Spawn(top).Store(top, top, 0, math.MaxInt32, 1).KSM(top, 0, 0, top).Script()
+	if err := ok.Err(); err != nil {
+		t.Fatalf("in-range script: %v", err)
 	}
 }
 
