@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-json-timing bench-json-mlp bench-json-prefetch nopanic crash-sweep probe-smoke persist-matrix mlp-smoke prefetch-smoke grid-smoke telemetry-smoke perfbench-test verify
+.PHONY: all build vet test race bench bench-json nopanic crash-sweep probe-smoke persist-matrix mlp-smoke prefetch-smoke grid-smoke telemetry-smoke perfbench-test verify
 
 all: verify
 
@@ -72,60 +72,28 @@ mlp-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# bench-json captures the crypto/metadata hot-path benchmarks as a committed
-# JSON baseline: the ReadLine/WriteLine micro-benchmarks (with allocation
-# counts) at a fixed benchtime, plus every Fig9 quick cell at two
-# iterations (each iteration is one full deterministic simulation, so two
-# are enough for a stable ns/op). BENCH_seed.json holds the
-# pre-optimization baseline; regenerate BENCH_hotpath.json after touching
-# the hot path and compare.
+# bench-json captures the hot-path benchmarks as a committed JSON
+# baseline: the ReadLine/WriteLine micro-benchmarks (with allocation
+# counts) at a fixed benchtime, plus every Fig9 quick cell, the page and
+# recovery engines and the redirect-chain-heavy cells at two iterations
+# (each iteration is one full deterministic simulation, so two are enough
+# for a stable ns/op). KNOBS is a string of lelantus-sim machine flags,
+# exported as LELANTUS_KNOBS to the benchmarks and to benchjson, which
+# records it in the file's note. The committed snapshots:
+#   make bench-json                                  OUT=BENCH_hotpath.json
+#   make bench-json KNOBS='-fidelity timing'         OUT=BENCH_timing.json
+#   make bench-json KNOBS='-fidelity timing -mlp on' OUT=BENCH_mlp.json
+#   make bench-json KNOBS='-fidelity timing -mlp on -prefetch both' OUT=BENCH_prefetch.json
+# Names match across knob sets, so `go run ./cmd/benchjson -compare A B`
+# lines up any two (add -metric sim-ns for the simulated-time delta).
+KNOBS ?=
+OUT ?= BENCH_hotpath.json
+bench-json: export LELANTUS_KNOBS = $(KNOBS)
 bench-json:
 	{ $(GO) test -run '^$$' -bench '^(BenchmarkReadLine|BenchmarkWriteLine)$$' \
 	      -benchmem -benchtime 0.2s . ; \
-	  $(GO) test -run '^$$' -bench '^(BenchmarkFig9|BenchmarkPagePhyc|BenchmarkOverflowSweep|BenchmarkRecoveryScrub)$$' -benchtime 2x . ; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_hotpath.json
-
-# bench-json-timing runs the same benchmarks with the crypto data plane
-# elided (timing fidelity) into BENCH_timing.json; the benchmark names
-# match bench-json's, so `go run ./cmd/benchjson -compare BENCH_hotpath.json
-# BENCH_timing.json` prints the per-cell speedup of the fidelity knob.
-bench-json-timing:
-	{ LELANTUS_FIDELITY=timing $(GO) test -run '^$$' \
-	      -bench '^(BenchmarkReadLine|BenchmarkWriteLine)$$' \
-	      -benchmem -benchtime 0.2s . ; \
-	  LELANTUS_FIDELITY=timing $(GO) test -run '^$$' \
-	      -bench '^(BenchmarkFig9|BenchmarkPagePhyc|BenchmarkOverflowSweep|BenchmarkRecoveryScrub)$$' -benchtime 2x . ; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_timing.json
-
-# bench-json-mlp reruns the timing-fidelity benchmarks with the
-# MSHR-overlapped engine on into BENCH_mlp.json; the names match
-# bench-json-timing's, so `go run ./cmd/benchjson -compare -metric sim-ns
-# BENCH_timing.json BENCH_mlp.json` prints the simulated-wall-clock
-# speedup the MLP model charges per cell — the deliverable; MLP moves
-# simulated timestamps, not host work (plain ns/op only shows the pool
-# on multi-core hosts at full fidelity, and host noise elsewhere).
-bench-json-mlp:
-	{ LELANTUS_MLP=on LELANTUS_FIDELITY=timing $(GO) test -run '^$$' \
-	      -bench '^(BenchmarkReadLine|BenchmarkWriteLine)$$' \
-	      -benchmem -benchtime 0.2s . ; \
-	  LELANTUS_MLP=on LELANTUS_FIDELITY=timing $(GO) test -run '^$$' \
-	      -bench '^(BenchmarkFig9|BenchmarkPagePhyc|BenchmarkOverflowSweep|BenchmarkRecoveryScrub|BenchmarkChainHeavy)$$' -benchtime 2x . ; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_mlp.json
-
-# bench-json-prefetch reruns the mlp benchmarks with the metadata prefetch
-# engine on (-prefetch=both) into BENCH_prefetch.json; the names match
-# bench-json-mlp's, so `go run ./cmd/benchjson -compare -metric sim-ns
-# -filter ChainHeavy BENCH_mlp.json BENCH_prefetch.json` quotes the
-# simulated-time delta on the redirect-chain-heavy cells (the quick Fig9
-# cells fit the counter cache whole, so prefetch is inert there and the
-# unfiltered table doubles as the within-1.02x no-regression check).
-bench-json-prefetch:
-	{ LELANTUS_PREFETCH=both LELANTUS_MLP=on LELANTUS_FIDELITY=timing $(GO) test -run '^$$' \
-	      -bench '^(BenchmarkReadLine|BenchmarkWriteLine)$$' \
-	      -benchmem -benchtime 0.2s . ; \
-	  LELANTUS_PREFETCH=both LELANTUS_MLP=on LELANTUS_FIDELITY=timing $(GO) test -run '^$$' \
-	      -bench '^(BenchmarkFig9|BenchmarkPagePhyc|BenchmarkOverflowSweep|BenchmarkRecoveryScrub|BenchmarkChainHeavy)$$' -benchtime 2x . ; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_prefetch.json
+	  $(GO) test -run '^$$' -bench '^(BenchmarkFig9|BenchmarkPagePhyc|BenchmarkOverflowSweep|BenchmarkRecoveryScrub|BenchmarkChainHeavy)$$' -benchtime 2x . ; } \
+	  | $(GO) run ./cmd/benchjson > $(OUT)
 
 # Prefetch smoke: the -prefetch=off byte-identity and knob-inertness pins,
 # the per-mode fidelity-equivalence properties (prefetch moves time and
@@ -193,4 +161,6 @@ telemetry-smoke:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
+# CI (.github/workflows/ci.yml) runs each of these targets once as its own
+# named step; keep the two lists in sync.
 verify: build vet nopanic test race crash-sweep persist-matrix probe-smoke mlp-smoke prefetch-smoke grid-smoke telemetry-smoke perfbench-test

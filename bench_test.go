@@ -6,65 +6,60 @@
 package lelantus
 
 import (
+	"flag"
 	"os"
+	"strings"
 	"testing"
 
 	"lelantus/internal/core"
 	"lelantus/internal/experiments"
+	"lelantus/internal/knobs"
 	"lelantus/internal/probe"
 	"lelantus/internal/sim"
 	"lelantus/internal/workload"
 )
 
-// benchFidelity selects the machine fidelity for every benchmark from the
-// LELANTUS_FIDELITY environment variable ("timing" elides the crypto data
-// plane; anything else is the full path). `make bench-json-timing` sets it
-// so BENCH_timing.json carries the same benchmark names as the full-path
-// BENCH_hotpath.json and `benchjson -compare` lines them up.
-func benchFidelity() core.Fidelity {
-	if os.Getenv("LELANTUS_FIDELITY") == "timing" {
-		return core.FidelityTiming
+// benchKnobs parses the LELANTUS_KNOBS environment variable, a string of
+// lelantus-sim machine flags (e.g. "-fidelity timing -mlp on"), with the
+// same knobs.RegisterFlags the CLIs use. `make bench-json KNOBS=...` sets
+// it, so every committed BENCH file carries the same benchmark names and
+// `benchjson -compare` lines them up across knob sets.
+func benchKnobs(tb testing.TB) knobs.Knobs {
+	tb.Helper()
+	var k knobs.Knobs
+	fs := flag.NewFlagSet("LELANTUS_KNOBS", flag.ContinueOnError)
+	k.RegisterFlags(fs)
+	if err := fs.Parse(strings.Fields(os.Getenv("LELANTUS_KNOBS"))); err != nil {
+		tb.Fatalf("LELANTUS_KNOBS: %v", err)
 	}
-	return core.FidelityFull
+	return k
 }
 
-// benchMLP selects the memory-level-parallelism model for every benchmark
-// from the LELANTUS_MLP environment variable ("on" enables the
-// MSHR-overlapped engine). `make bench-json-mlp` sets it so BENCH_mlp.json
-// carries the same benchmark names as BENCH_timing.json and `benchjson
-// -compare` lines up the speedup per cell.
-func benchMLP() core.MLPConfig {
-	return core.MLPConfig{Enabled: os.Getenv("LELANTUS_MLP") == "on"}
-}
-
-// benchPrefetch selects the metadata-prefetch configuration for every
-// benchmark from the LELANTUS_PREFETCH environment variable (a -prefetch
-// mode name: off, delta, chain, both; empty is off). `make
-// bench-json-prefetch` sets it so BENCH_prefetch.json carries the same
-// benchmark names as BENCH_mlp.json and `benchjson -compare -metric sim-ns`
-// lines up the prefetch delta per cell.
-func benchPrefetch() core.PrefetchConfig {
-	m, err := core.ParsePrefetchMode(os.Getenv("LELANTUS_PREFETCH"))
-	if err != nil {
-		panic(err)
+// benchConfig is the Table III machine for a scheme with memMB MiB of NVM
+// and the LELANTUS_KNOBS knobs applied.
+func benchConfig(tb testing.TB, s core.Scheme, memMB uint64) sim.Config {
+	tb.Helper()
+	k := benchKnobs(tb)
+	k.MemMB = memMB
+	cfg := sim.DefaultConfig(s)
+	if err := k.Apply(&cfg); err != nil {
+		tb.Fatalf("LELANTUS_KNOBS: %v", err)
 	}
-	return core.PrefetchConfig{Mode: m}
+	return cfg
 }
 
-func quickOpts() experiments.Options {
+func quickOpts(tb testing.TB) experiments.Options {
 	o := experiments.DefaultOptions()
 	o.Quick = true
-	o.MemBytes = 256 << 20
-	o.Fidelity = benchFidelity()
-	o.MLP = benchMLP()
-	o.Prefetch = benchPrefetch()
+	o.Knobs = benchKnobs(tb)
+	o.Knobs.MemMB = 256
 	return o
 }
 
 func benchReport(b *testing.B, f func(experiments.Options) (*experiments.Report, error)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if _, err := f(quickOpts()); err != nil {
+		if _, err := f(quickOpts(b)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,7 +75,7 @@ func BenchmarkTableI(b *testing.B) { benchReport(b, experiments.TableI) }
 // one sub-benchmark per (workload, scheme, page size) cell with the
 // simulated time and NVM writes exposed as metrics.
 func BenchmarkFig9(b *testing.B) {
-	o := quickOpts()
+	o := quickOpts(b)
 	for _, huge := range []bool{false, true} {
 		mode := "4KB"
 		if huge {
@@ -99,12 +94,7 @@ func BenchmarkFig9(b *testing.B) {
 				b.Run(mode+"/"+spec.Name+"/"+s.String(), func(b *testing.B) {
 					var last sim.Result
 					for i := 0; i < b.N; i++ {
-						cfg := sim.DefaultConfig(s)
-						cfg.Mem.MemBytes = o.MemBytes
-						cfg.Mem.Core.Fidelity = o.Fidelity
-						cfg.Mem.Core.MLP = o.MLP
-						cfg.Mem.Core.Prefetch = o.Prefetch
-						res, err := sim.RunWith(cfg, script)
+						res, err := sim.RunWith(benchConfig(b, s, 256), script)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -148,11 +138,7 @@ func BenchmarkFig12(b *testing.B) { benchReport(b, experiments.Fig12) }
 // allocation budget is defined over (see DESIGN.md "Performance model").
 func benchEngine(b *testing.B, s core.Scheme) (*core.Engine, []uint64) {
 	b.Helper()
-	cfg := sim.DefaultConfig(s)
-	cfg.Mem.MemBytes = 64 << 20
-	cfg.Mem.Core.Fidelity = benchFidelity()
-	cfg.Mem.Core.MLP = benchMLP()
-	cfg.Mem.Core.Prefetch = benchPrefetch()
+	cfg := benchConfig(b, s, 64)
 	m, err := sim.NewMachine(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -217,11 +203,7 @@ func BenchmarkWriteLine(b *testing.B) {
 // full 64-line copy — the microarchitectural heart of the paper.
 func BenchmarkPageCopyCommand(b *testing.B) {
 	b.Run("page_copy", func(b *testing.B) {
-		cfg := sim.DefaultConfig(core.Lelantus)
-		cfg.Mem.MemBytes = 64 << 20
-		cfg.Mem.Core.Fidelity = benchFidelity()
-		cfg.Mem.Core.MLP = benchMLP()
-		cfg.Mem.Core.Prefetch = benchPrefetch()
+		cfg := benchConfig(b, core.Lelantus, 64)
 		m, err := sim.NewMachine(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -238,11 +220,7 @@ func BenchmarkPageCopyCommand(b *testing.B) {
 		}
 	})
 	b.Run("full_copy", func(b *testing.B) {
-		cfg := sim.DefaultConfig(core.Baseline)
-		cfg.Mem.MemBytes = 64 << 20
-		cfg.Mem.Core.Fidelity = benchFidelity()
-		cfg.Mem.Core.MLP = benchMLP()
-		cfg.Mem.Core.Prefetch = benchPrefetch()
+		cfg := benchConfig(b, core.Baseline, 64)
 		m, err := sim.NewMachine(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -268,11 +246,7 @@ func BenchmarkPageCopyCommand(b *testing.B) {
 func BenchmarkPagePhyc(b *testing.B) {
 	for _, s := range []core.Scheme{core.Lelantus, core.LelantusCoW} {
 		b.Run(s.String(), func(b *testing.B) {
-			cfg := sim.DefaultConfig(s)
-			cfg.Mem.MemBytes = 64 << 20
-			cfg.Mem.Core.Fidelity = benchFidelity()
-			cfg.Mem.Core.MLP = benchMLP()
-			cfg.Mem.Core.Prefetch = benchPrefetch()
+			cfg := benchConfig(b, s, 64)
 			m, err := sim.NewMachine(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -328,11 +302,7 @@ func BenchmarkChainHeavy(b *testing.B) {
 			b.Run(c.name+"/"+s.String(), func(b *testing.B) {
 				var last sim.Result
 				for i := 0; i < b.N; i++ {
-					cfg := sim.DefaultConfig(s)
-					cfg.Mem.MemBytes = 256 << 20
-					cfg.Mem.Core.Fidelity = benchFidelity()
-					cfg.Mem.Core.MLP = benchMLP()
-					cfg.Mem.Core.Prefetch = benchPrefetch()
+					cfg := benchConfig(b, s, 256)
 					res, err := sim.RunWith(cfg, c.script)
 					if err != nil {
 						b.Fatal(err)
@@ -359,11 +329,7 @@ func BenchmarkTailLatency(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			var pl *probe.Plane
 			for i := 0; i < b.N; i++ {
-				cfg := sim.DefaultConfig(s)
-				cfg.Mem.MemBytes = 256 << 20
-				cfg.Mem.Core.Fidelity = benchFidelity()
-				cfg.Mem.Core.MLP = benchMLP()
-				cfg.Mem.Core.Prefetch = benchPrefetch()
+				cfg := benchConfig(b, s, 256)
 				pl = probe.New(probe.Config{RingCap: 1})
 				cfg.Mem.Probe = pl
 				if _, err := sim.RunWith(cfg, script); err != nil {
@@ -416,11 +382,7 @@ func BenchmarkOverflowSweep(b *testing.B) {
 func BenchmarkRecoveryScrub(b *testing.B) {
 	for _, s := range []core.Scheme{core.Lelantus, core.LelantusCoW} {
 		b.Run(s.String(), func(b *testing.B) {
-			cfg := sim.DefaultConfig(s)
-			cfg.Mem.MemBytes = 64 << 20
-			cfg.Mem.Core.Fidelity = benchFidelity()
-			cfg.Mem.Core.MLP = benchMLP()
-			cfg.Mem.Core.Prefetch = benchPrefetch()
+			cfg := benchConfig(b, s, 64)
 			m, err := sim.NewMachine(cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -82,6 +82,11 @@ func main() {
 		Note:       "generated by `make bench-json`; compare against BENCH_seed.json",
 		Benchmarks: map[string]Result{},
 	}
+	// The make target exports its knob string to both the benchmarks and
+	// this converter, so every file names the machine it measured.
+	if k := os.Getenv("LELANTUS_KNOBS"); k != "" {
+		doc.Note = fmt.Sprintf("generated by `make bench-json KNOBS='%s'`; compare against BENCH_seed.json", k)
+	}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -24,6 +26,12 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 		{"bad prefetch", []string{"-prefetch", "nope"}, "nope"},
 		{"bad probe format", []string{"-probe", "-probe-format", "csv"}, "csv"},
 		{"bad workload", []string{"-workload", "nope"}, "nope"},
+		{"mem overflows bytes", []string{"-mem", "17592186044416"}, "17592186044416"},
+		{"negative prefetch depth", []string{"-prefetch-depth", "-1"}, "-prefetch-depth -1"},
+		{"negative mshrs", []string{"-mshrs", "-2"}, "-mshrs -2"},
+		{"negative mlp workers", []string{"-mlp-workers", "-3"}, "-mlp-workers -3"},
+		{"negative ranks", []string{"-ranks", "-4"}, "-ranks -4"},
+		{"negative banks", []string{"-banks", "-5"}, "-banks -5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -67,4 +75,75 @@ func TestListExitsZero(t *testing.T) {
 	if !strings.Contains(stdout.String(), "forkbench") {
 		t.Fatalf("-list output %q does not mention forkbench", stdout.String())
 	}
+}
+
+// TestBadProfilePathFailsFirst pins the shared profile contract: an
+// unwritable -memprofile path exits 1 before any simulation runs.
+func TestBadProfilePathFailsFirst(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	bad := filepath.Join(t.TempDir(), "no-such-dir", "mem.out")
+	if code := run([]string{"-workload", "forkbench", "-memprofile", bad}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "memprofile") || stdout.Len() != 0 {
+		t.Fatalf("stderr %q, stdout %q: want the cause and no run output", stderr.String(), stdout.String())
+	}
+}
+
+// TestFlagSurface pins every flag name, type and default as they stood
+// before the machine flags moved into internal/knobs.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		`-all`,
+		`-banks int`,
+		`-compare`,
+		`-cpuprofile string`,
+		`-crashpoint uint`,
+		`-disasm`,
+		`-faultpoints`,
+		`-faultseed int (default 1)`,
+		`-fidelity string (default "full")`,
+		`-huge`,
+		`-json`,
+		`-list`,
+		`-mem uint (default 512)`,
+		`-memprofile string`,
+		`-mlp string (default "off")`,
+		`-mlp-workers int`,
+		`-mshrs int`,
+		`-parallel int`,
+		`-persist string (default "strict")`,
+		`-prefetch string (default "off")`,
+		`-prefetch-depth int`,
+		`-probe`,
+		`-probe-check string`,
+		`-probe-format string (default "summary")`,
+		`-probe-out string (default "probe.json")`,
+		`-probe-sample-ns uint (default 1000000)`,
+		`-ranks int`,
+		`-record string`,
+		`-replay string`,
+		`-scheme string (default "lelantus")`,
+		`-seed int (default 1)`,
+		`-workload string (default "forkbench")`,
+	}
+	var stdout, stderr bytes.Buffer
+	run([]string{"-h"}, &stdout, &stderr)
+	if got := flagSurface(stderr.String()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("flag surface changed:\n got %q\nwant %q", got, want)
+	}
+}
+
+// flagSurface reduces -h output to one "-name type (default v)" entry per
+// flag, dropping the help prose.
+func flagSurface(help string) []string {
+	var out []string
+	for _, line := range strings.Split(help, "\n") {
+		if strings.HasPrefix(line, "  -") {
+			out = append(out, strings.TrimSpace(line))
+		} else if i := strings.LastIndex(line, "(default "); i >= 0 && len(out) > 0 {
+			out[len(out)-1] += " " + line[i:]
+		}
+	}
+	return out
 }

@@ -14,6 +14,7 @@ import (
 
 	"lelantus/internal/core"
 	"lelantus/internal/ctrcache"
+	"lelantus/internal/knobs"
 	"lelantus/internal/probe"
 	"lelantus/internal/sim"
 	"lelantus/internal/stats"
@@ -26,42 +27,23 @@ type Options struct {
 	// Quick shrinks workloads for CI-speed runs; the full sizes are the
 	// paper-comparable defaults.
 	Quick bool
-	// MemBytes is the simulated NVM capacity (default 512 MB: big enough
-	// for every workload while keeping host memory modest; the paper's
-	// 16 GB changes nothing for these working sets).
-	MemBytes uint64
+	// Knobs are the machine knobs every run applies (knobs.Apply). The
+	// persist, mlp and prefetch matrices override only the field they
+	// sweep. DefaultOptions sizes memory at 512 MiB: big enough for every
+	// workload while keeping host memory modest; the paper's 16 GB changes
+	// nothing for these working sets.
+	Knobs knobs.Knobs
 	// Parallel caps the worker pool that fans independent simulation runs
 	// out over CPU cores (<= 0 selects GOMAXPROCS). Every run is a fully
 	// isolated machine and results are consumed index-aligned, so reports
 	// are byte-identical at any worker count.
 	Parallel int
-	// Fidelity selects the machine fidelity for every run: FidelityFull
-	// (the zero value) computes the whole crypto data plane, FidelityTiming
-	// elides it with identical statistics. Reports are byte-identical under
-	// both (pinned by TestFidelityQuickGridEquivalence).
-	Fidelity core.Fidelity
 	// Probe, when non-nil, attaches a fresh observability plane (sized by
 	// this config) to every machine the experiments build. Each grid cell
 	// gets its own plane, so parallel runs never share one; the planes are
 	// reachable afterwards only for runs built through machineConfig by the
 	// caller (RunOne-style single runs) — grid reports ignore them.
 	Probe *probe.Config
-	// Persist selects the metadata persistence strategy every machine runs
-	// under (nil = strict write-through, the historical behaviour). The
-	// persist-matrix experiment overrides it per cell.
-	Persist core.PersistStrategy
-	// MLP selects the memory-level-parallelism model every machine runs
-	// under (zero value = the serial engine, byte-identical reports). The
-	// mlp-matrix experiment overrides it per cell.
-	MLP core.MLPConfig
-	// Prefetch selects the metadata-prefetch configuration every machine
-	// runs under (zero value = off, byte-identical reports). The
-	// prefetch-matrix experiment overrides it per cell.
-	Prefetch core.PrefetchConfig
-	// Ranks and BanksPerRank override the device geometry when positive
-	// (zero keeps nvm.DefaultConfig's 2 × 8).
-	Ranks        int
-	BanksPerRank int
 
 	// scripts interns generated workload scripts across the experiments of
 	// one option set (set by DefaultOptions; nil just disables sharing).
@@ -70,14 +52,7 @@ type Options struct {
 
 // DefaultOptions returns full-size experiment settings.
 func DefaultOptions() Options {
-	return Options{Seed: 1, MemBytes: 512 << 20, scripts: newScriptCache()}
-}
-
-func (o Options) memBytes() uint64 {
-	if o.MemBytes == 0 {
-		return 512 << 20
-	}
-	return o.MemBytes
+	return Options{Seed: 1, Knobs: knobs.Knobs{MemMB: 512}, scripts: newScriptCache()}
 }
 
 // Report is one regenerated table or figure.
@@ -108,20 +83,12 @@ func (r *Report) Markdown() string {
 	return b.String()
 }
 
-// machineConfig builds a simulator config for an experiment run.
+// machineConfig builds a simulator config for an experiment run. A bad
+// knob leaves the config at its defaults here and is reported by runGrid,
+// the one consumer of every job, before anything runs.
 func (o Options) machineConfig(scheme core.Scheme, mutate func(*sim.Config)) sim.Config {
 	cfg := sim.DefaultConfig(scheme)
-	cfg.Mem.MemBytes = o.memBytes()
-	cfg.Mem.Core.Fidelity = o.Fidelity
-	cfg.Mem.Core.Persist = o.Persist
-	cfg.Mem.Core.MLP = o.MLP
-	cfg.Mem.Core.Prefetch = o.Prefetch
-	if o.Ranks > 0 {
-		cfg.Mem.NVM.Ranks = o.Ranks
-	}
-	if o.BanksPerRank > 0 {
-		cfg.Mem.NVM.BanksPerRank = o.BanksPerRank
-	}
+	_ = o.Knobs.Apply(&cfg)
 	if o.Probe != nil {
 		cfg.Mem.Probe = probe.New(*o.Probe)
 	}
@@ -129,11 +96,6 @@ func (o Options) machineConfig(scheme core.Scheme, mutate func(*sim.Config)) sim
 		mutate(&cfg)
 	}
 	return cfg
-}
-
-// run executes one script on a fresh machine.
-func (o Options) run(scheme core.Scheme, script workload.Script, mutate func(*sim.Config)) (sim.Result, error) {
-	return sim.RunWith(o.machineConfig(scheme, mutate), script)
 }
 
 // job builds one grid cell from the option set's machine parameters.
@@ -147,6 +109,9 @@ func (o Options) job(tag string, scheme core.Scheme, script workload.Script, mut
 // failures are isolated per job and aggregated, so one broken cell reports
 // every broken sibling alongside it instead of masking them.
 func (o Options) runGrid(jobs []sim.GridJob) ([]sim.Result, error) {
+	if err := o.Knobs.Apply(&sim.Config{}); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
 	results, errs := sim.RunGridErrs(jobs, o.Parallel)
 	var failed []string
 	for i, err := range errs {

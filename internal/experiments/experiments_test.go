@@ -9,7 +9,7 @@ import (
 func quickOpts() Options {
 	o := DefaultOptions()
 	o.Quick = true
-	o.MemBytes = 256 << 20
+	o.Knobs.MemMB = 256
 	return o
 }
 
@@ -156,7 +156,7 @@ func TestAllQuickSmoke(t *testing.T) {
 		t.Skip("runs every experiment; slow")
 	}
 	o := quickOpts()
-	o.MemBytes = 128 << 20
+	o.Knobs.MemMB = 128
 	reports, err := All(o)
 	if err != nil {
 		t.Fatal(err)

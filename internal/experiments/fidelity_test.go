@@ -18,8 +18,8 @@ func TestFidelityQuickGridEquivalence(t *testing.T) {
 	render := func(f core.Fidelity) map[string]string {
 		o := DefaultOptions()
 		o.Quick = true
-		o.MemBytes = 128 << 20
-		o.Fidelity = f
+		o.Knobs.MemMB = 128
+		o.Knobs.Fidelity = f.String()
 		out := make(map[string]string, len(ids))
 		for _, id := range ids {
 			r, err := ByID(o, id)

@@ -6,12 +6,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
 
+	"lelantus/internal/knobs"
 	"lelantus/internal/metrics"
 )
 
@@ -122,56 +121,6 @@ func (r *runtimeOpts) options(stderr io.Writer) Options {
 	return opts
 }
 
-// startProfiles starts the optional CPU profile and returns a stop closure
-// that finishes it and snapshots the optional heap profile. ok=false means
-// a profile file could not be created (a usage-level problem: exit 1
-// before any grid work starts).
-func startProfiles(cpu, mem string, stderr io.Writer) (stop func(), ok bool) {
-	stopCPU := func() {}
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			fmt.Fprintf(stderr, "lelantus-grid: cpuprofile: %v\n", err)
-			return nil, false
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "lelantus-grid: cpuprofile: %v\n", err)
-			f.Close()
-			return nil, false
-		}
-		stopCPU = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
-	if mem != "" {
-		// Fail before the run, not after it, when the path is unwritable.
-		f, err := os.Create(mem)
-		if err != nil {
-			stopCPU()
-			fmt.Fprintf(stderr, "lelantus-grid: memprofile: %v\n", err)
-			return nil, false
-		}
-		f.Close()
-	}
-	return func() {
-		stopCPU()
-		if mem == "" {
-			return
-		}
-		f, err := os.Create(mem)
-		if err != nil {
-			fmt.Fprintf(stderr, "lelantus-grid: memprofile: %v\n", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC() // materialise up-to-date heap statistics
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(stderr, "lelantus-grid: memprofile: %v\n", err)
-		}
-	}, true
-}
-
 func splitCSV(s string) []string {
 	if s == "" {
 		return nil
@@ -239,7 +188,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	fidelity := fs.String("fidelity", "", "fidelity for every cell: full | timing (default timing; reports are byte-identical either way)")
 	faultSeeds := fs.String("faultseeds", "", "comma-separated fault-plane seeds for crash cells (default 1)")
 	crashPoints := fs.String("crashpoints", "", "comma-separated persist points to crash cells at (default none)")
-	memMB := fs.Uint64("mem", 0, "simulated NVM capacity in MiB (0 = 512)")
+	memMB := fs.Uint64("mem", 0, "simulated NVM capacity in MiB (0 = Table III 16 GiB)")
 	quick := fs.Bool("quick", false, "reduced workload sizes")
 	regionKB := fs.Uint64("region-kb", 0, "forkbench region override in KiB (0 = default; the smoke-grid knob)")
 	ranks := fs.Int("ranks", 0, "NVM ranks (0 = default 2)")
@@ -345,7 +294,7 @@ func cmdResume(args []string, stdout, stderr io.Writer) int {
 }
 
 func finishRun(coord *Coordinator, dir string, rt *runtimeOpts, stdout, stderr io.Writer) int {
-	stopProfiles, ok := startProfiles(*rt.cpuprofile, *rt.memprofile, stderr)
+	stopProfiles, ok := knobs.StartProfiles("lelantus-grid", *rt.cpuprofile, *rt.memprofile, stderr)
 	if !ok {
 		return 1
 	}

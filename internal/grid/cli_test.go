@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -68,6 +69,57 @@ func TestCLIUsageAndFlagErrors(t *testing.T) {
 			}
 			_ = out
 		})
+	}
+}
+
+// TestCLIRunFlagSurface pins every `run` flag name, type and documented
+// default as they stood before the machine flags moved into
+// internal/knobs: the grid gains no knob flag and loses none.
+func TestCLIRunFlagSurface(t *testing.T) {
+	want := []string{
+		`-backoff duration (default 100ms)`,
+		`-banks int`,
+		`-cpuprofile string`,
+		`-crashpoints string (default none)`,
+		`-dir string (default "grid-run")`,
+		`-faultseeds string (default 1)`,
+		`-fidelity string (default timing; reports are byte-identical either way)`,
+		`-heartbeat duration`,
+		`-isolate`,
+		`-mem uint`,
+		`-memprofile string`,
+		`-mlp string (default off)`,
+		`-name string`,
+		`-page string (default 4kb)`,
+		`-persist string (default strict)`,
+		`-prefetch string (default off)`,
+		`-prefetch-depth int`,
+		`-quick`,
+		`-quiet`,
+		`-ranks int`,
+		`-region-kb uint`,
+		`-retries int (default 1)`,
+		`-schemes string (default all four)`,
+		`-seeds string (default 1)`,
+		`-spec string`,
+		`-strict`,
+		`-tail`,
+		`-telemetry-addr string`,
+		`-timeout duration`,
+		`-workers int`,
+		`-workloads string (default forkbench)`,
+	}
+	_, _, errb := runCLI(t, "run", "-h")
+	var got []string
+	for _, line := range strings.Split(errb, "\n") {
+		if strings.HasPrefix(line, "  -") {
+			got = append(got, strings.TrimSpace(line))
+		} else if i := strings.LastIndex(line, "(default "); i >= 0 && len(got) > 0 {
+			got[len(got)-1] += " " + line[i:]
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flag surface changed:\n got %q\nwant %q", got, want)
 	}
 }
 

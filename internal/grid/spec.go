@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"lelantus/internal/core"
+	"lelantus/internal/knobs"
 	"lelantus/internal/sim"
 	"lelantus/internal/workload"
 )
@@ -34,8 +35,10 @@ type CellSpec struct {
 	Huge     bool   `json:"huge,omitempty"`
 	Seed     int64  `json:"seed"`
 	// Scheme/Fidelity/Persist/MLP/Prefetch are the flag spellings, parsed
-	// by the same core parsers the CLIs use; empty strings select the
-	// defaults (full fidelity, strict persistence, mlp/prefetch off).
+	// by the same knobs.Apply the CLIs use; empty strings select the
+	// defaults (full fidelity, strict persistence, mlp/prefetch off). The
+	// struct stays flat (not a knobs.Knobs field) so its canonical JSON,
+	// and with it every cell ID, is unchanged.
 	Scheme        string `json:"scheme"`
 	Fidelity      string `json:"fidelity,omitempty"`
 	Persist       string `json:"persist,omitempty"`
@@ -47,9 +50,9 @@ type CellSpec struct {
 	// persist point) instead of a plain measurement run.
 	FaultSeed  int64  `json:"faultSeed,omitempty"`
 	CrashPoint uint64 `json:"crashPoint,omitempty"`
-	// MemMB sizes the simulated NVM (0 = 512 MiB). Quick selects reduced
-	// workload sizes where a workload supports them (forkbench), and
-	// RegionKB overrides the forkbench region outright — the knob the
+	// MemMB sizes the simulated NVM (0 = Table III 16 GiB). Quick selects
+	// reduced workload sizes where a workload supports them (forkbench),
+	// and RegionKB overrides the forkbench region outright — the knob the
 	// smoke grids use for sub-second cells.
 	MemMB    uint64 `json:"memMB,omitempty"`
 	Quick    bool   `json:"quick,omitempty"`
@@ -97,58 +100,36 @@ func (c CellSpec) Tag() string {
 }
 
 // Build resolves the spec into a machine configuration and a workload
-// script. Every enum is validated here with the same parsers the CLI
-// flags use, so a spec that came from disk (a resumed checkpoint, a
-// worker's stdin) fails with an actionable error instead of a panic or a
-// silent default.
+// script. Every knob is parsed and range-checked by knobs.Apply, the same
+// code the CLI flags go through, so a spec that came from disk (a resumed
+// checkpoint, a worker's stdin) fails with an actionable error instead of
+// a panic or a silent default.
 func (c CellSpec) Build() (sim.Config, workload.Script, error) {
 	var zero sim.Config
 	scheme, err := core.ParseScheme(c.Scheme)
 	if err != nil {
 		return zero, workload.Script{}, err
 	}
-	fidelity := core.FidelityFull
-	if c.Fidelity != "" {
-		if fidelity, err = core.ParseFidelity(c.Fidelity); err != nil {
-			return zero, workload.Script{}, err
-		}
-	}
-	persist, err := core.ParsePersist(c.Persist)
-	if err != nil {
-		return zero, workload.Script{}, err
-	}
-	mlpOn, err := core.ParseMLP(c.MLP)
-	if err != nil {
-		return zero, workload.Script{}, err
-	}
-	pfMode, err := core.ParsePrefetchMode(c.Prefetch)
-	if err != nil {
-		return zero, workload.Script{}, err
-	}
-	if c.PrefetchDepth < 0 {
-		return zero, workload.Script{}, fmt.Errorf("grid: negative prefetch depth %d", c.PrefetchDepth)
-	}
-
 	cfg := sim.DefaultConfig(scheme)
-	if c.MemMB > 0 {
-		cfg.Mem.MemBytes = c.MemMB << 20
+	k := knobs.Knobs{
+		Fidelity: c.Fidelity,
+		Persist:  c.Persist,
+		MLP:      c.MLP,
+		// Grid cells already run many-wide across the coordinator's pool;
+		// one MLP worker keeps the page engines inline so cells never nest
+		// goroutine pools. Results are byte-identical at any pool size
+		// (pinned by TestMLPOnPoolSizeDeterminism), so this is purely a
+		// scheduling choice.
+		MLPWorkers:    1,
+		Prefetch:      c.Prefetch,
+		PrefetchDepth: c.PrefetchDepth,
+		Ranks:         c.Ranks,
+		Banks:         c.Banks,
+		MemMB:         c.MemMB,
 	}
-	cfg.Mem.Core.Fidelity = fidelity
-	cfg.Mem.Core.Persist = persist
-	// Grid cells already run many-wide across the coordinator's pool;
-	// Workers=1 keeps the MLP page engines inline so cells never nest
-	// goroutine pools. Results are byte-identical at any pool size (pinned
-	// by TestMLPOnPoolSizeDeterminism), so this is purely a scheduling
-	// choice.
-	cfg.Mem.Core.MLP = core.MLPConfig{Enabled: mlpOn, Workers: 1}
-	cfg.Mem.Core.Prefetch = core.PrefetchConfig{Mode: pfMode, Depth: c.PrefetchDepth}
-	if c.Ranks > 0 {
-		cfg.Mem.NVM.Ranks = c.Ranks
+	if err := k.Apply(&cfg); err != nil {
+		return zero, workload.Script{}, err
 	}
-	if c.Banks > 0 {
-		cfg.Mem.NVM.BanksPerRank = c.Banks
-	}
-
 	script, err := c.buildScript()
 	if err != nil {
 		return zero, workload.Script{}, err
