@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json nopanic crash-sweep probe-smoke persist-matrix mlp-smoke prefetch-smoke grid-smoke telemetry-smoke perfbench-test verify
+.PHONY: all build vet test race bench bench-json nopanic crash-sweep probe-smoke persist-matrix mlp-smoke grid-smoke telemetry-smoke perfbench-test verify
 
 all: verify
 
@@ -83,7 +83,6 @@ bench:
 #   make bench-json                                  OUT=BENCH_hotpath.json
 #   make bench-json KNOBS='-fidelity timing'         OUT=BENCH_timing.json
 #   make bench-json KNOBS='-fidelity timing -mlp on' OUT=BENCH_mlp.json
-#   make bench-json KNOBS='-fidelity timing -mlp on -prefetch both' OUT=BENCH_prefetch.json
 # Names match across knob sets, so `go run ./cmd/benchjson -compare A B`
 # lines up any two (add -metric sim-ns for the simulated-time delta).
 KNOBS ?=
@@ -94,19 +93,6 @@ bench-json:
 	      -benchmem -benchtime 0.2s . ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkFig9|BenchmarkPagePhyc|BenchmarkOverflowSweep|BenchmarkRecoveryScrub|BenchmarkChainHeavy)$$' -benchtime 2x . ; } \
 	  | $(GO) run ./cmd/benchjson > $(OUT)
-
-# Prefetch smoke: the -prefetch=off byte-identity and knob-inertness pins,
-# the per-mode fidelity-equivalence properties (prefetch moves time and
-# metadata traffic, never functional state), the delta-table/chain-walker
-# unit tests, the cache property tests for the prefetch-fill insert paths,
-# and a real CLI run with the walker on and the probe plane reporting
-# prefetch coverage.
-prefetch-smoke:
-	$(GO) test -count=1 ./internal/prefetch ./internal/ctrcache
-	$(GO) test -count=1 ./internal/sim -run 'TestPrefetch'
-	$(GO) run ./cmd/lelantus-sim -workload forkbench -fidelity timing -mlp=on -prefetch=both \
-	    -probe -probe-out /tmp/lelantus-prefetch-smoke.json
-	@rm -f /tmp/lelantus-prefetch-smoke.json
 
 # Grid smoke: the work-stealing substrate and coordinator unit tests, the
 # results-log decoder pins, the subprocess kill/resume harness (SIGKILL at
@@ -163,4 +149,4 @@ perfbench-test:
 
 # CI (.github/workflows/ci.yml) runs each of these targets once as its own
 # named step; keep the two lists in sync.
-verify: build vet nopanic test race crash-sweep persist-matrix probe-smoke mlp-smoke prefetch-smoke grid-smoke telemetry-smoke perfbench-test
+verify: build vet nopanic test race crash-sweep persist-matrix probe-smoke mlp-smoke grid-smoke telemetry-smoke perfbench-test

@@ -277,13 +277,12 @@ func BenchmarkPagePhyc(b *testing.B) {
 	}
 }
 
-// BenchmarkChainHeavy measures the redirect-chain-heavy cells the metadata
-// prefetch engine targets, at a working-set scale where it can matter: the
-// quick Fig9 cells fit the counter cache whole, so any prefetcher is inert
-// there by construction. A full-size forkbench and a shell with a 32 MB
-// image both exceed the cache and take capacity misses on every pass over
-// their redirected pages; the simulated time lands in sim-ns so `benchjson
-// -compare -metric sim-ns` against BENCH_mlp.json shows the prefetch delta.
+// BenchmarkChainHeavy measures redirect-chain-heavy cells at a working-set
+// scale where counter-cache capacity matters: the quick Fig9 cells fit the
+// counter cache whole. A full-size forkbench and a shell with a 32 MB image
+// both exceed the cache and take capacity misses on every pass over their
+// redirected pages; the simulated time lands in sim-ns so `benchjson
+// -compare -metric sim-ns` shows how a change moves them.
 func BenchmarkChainHeavy(b *testing.B) {
 	sp := workload.DefaultShell(false)
 	sp.Seed = 1
@@ -310,7 +309,6 @@ func BenchmarkChainHeavy(b *testing.B) {
 					last = res
 				}
 				b.ReportMetric(float64(last.ExecNs), "sim-ns")
-				b.ReportMetric(float64(last.Engine.PrefetchUseful), "pf-useful")
 			})
 		}
 	}

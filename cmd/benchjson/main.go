@@ -20,7 +20,7 @@
 // benchmarks that do not report it. With -filter REGEX only benchmark
 // names matching the pattern enter the comparison (table, warnings and
 // geomean alike) — e.g. `-filter ChainHeavy` restricts the table to the
-// redirect-chain-heavy cells the metadata prefetcher targets.
+// redirect-chain-heavy cells.
 package main
 
 import (
@@ -53,6 +53,9 @@ type Document struct {
 }
 
 var procSuffix = regexp.MustCompile(`-\d+$`)
+
+// noteKnobs matches the knob string main records in a document's note.
+var noteKnobs = regexp.MustCompile(`KNOBS='([^']*)'`)
 
 func main() {
 	compare := flag.Bool("compare", false, "compare two benchmark JSON files (args: old.json new.json) instead of reading bench output from stdin")
@@ -175,9 +178,10 @@ func loadDoc(path string) (Document, error) {
 // instead of ns/op; benchmarks missing it on either side are skipped the
 // same way. A non-empty filter regexp drops non-matching names from both
 // documents before anything else, so the table, the unmatched-name warnings
-// and the geomean all describe the same restricted set. The table goes to
-// stdout and warnings to stderr (main passes os.Stdout/os.Stderr; tests pass
-// buffers).
+// and the geomean all describe the same restricted set. Two documents
+// measured under different (or unrecorded) knob sets are compared anyway,
+// under a warning. The table goes to stdout and warnings to stderr (main
+// passes os.Stdout/os.Stderr; tests pass buffers).
 func compareDocs(stdout, stderr io.Writer, oldPath, newPath, metric, filter string) error {
 	oldDoc, err := loadDoc(oldPath)
 	if err != nil {
@@ -206,6 +210,7 @@ func compareDocs(stdout, stderr io.Writer, oldPath, newPath, metric, filter stri
 			names = append(names, n)
 		}
 	}
+	warnKnobs(stderr, oldDoc, newDoc, oldPath, newPath)
 	warnUnmatched(stderr, oldDoc, newDoc, oldPath, newPath)
 	if len(names) == 0 {
 		fmt.Fprintf(stderr, "benchjson: warning: no common benchmarks between %s and %s; nothing to compare\n", oldPath, newPath)
@@ -252,6 +257,25 @@ func compareDocs(stdout, stderr io.Writer, oldPath, newPath, metric, filter stri
 			math.Exp(logSum/float64(counted)), counted)
 	}
 	return nil
+}
+
+// warnKnobs writes one warning line (to stderr, before the table) unless
+// both documents' notes record the same KNOBS string: a ratio across two
+// machine configurations, or across files that predate the recorded knob
+// string, is a knob delta and not a code delta.
+func warnKnobs(stderr io.Writer, oldDoc, newDoc Document, oldPath, newPath string) {
+	oldM := noteKnobs.FindStringSubmatch(oldDoc.Note)
+	newM := noteKnobs.FindStringSubmatch(newDoc.Note)
+	if oldM != nil && newM != nil && oldM[1] == newM[1] {
+		return
+	}
+	describe := func(path string, m []string) string {
+		if m == nil {
+			return path + " records no KNOBS"
+		}
+		return fmt.Sprintf("%s has KNOBS='%s'", path, m[1])
+	}
+	fmt.Fprintf(stderr, "benchjson: warning: knob sets differ: %s, %s\n", describe(oldPath, oldM), describe(newPath, newM))
 }
 
 // warnUnmatched lists (to stderr, sorted, before the table) every benchmark

@@ -26,10 +26,12 @@ func writeDoc(t *testing.T, name string, doc Document) string {
 // tailDocs builds an old/new pair covering the BenchmarkTailLatency
 // percentile columns: the new document's lelantus cell halves read-p99-ns
 // (2x speedup), the cow cell keeps it flat, ChainHeavy lacks the metric
-// entirely, and OnlyOld exists on one side only.
+// entirely, and OnlyOld exists on one side only. Both notes record the
+// same knob set, so the knob check stays silent.
 func tailDocs(t *testing.T) (string, string) {
 	t.Helper()
-	old := Document{Benchmarks: map[string]Result{
+	const note = "generated by `make bench-json KNOBS='-fidelity timing'`"
+	old := Document{Note: note, Benchmarks: map[string]Result{
 		"TailLatency/lelantus": {Iterations: 1, NsPerOp: 100,
 			Metrics: map[string]float64{"read-p99-ns": 400, "read-p999-ns": 800}},
 		"TailLatency/lelantus-cow": {Iterations: 1, NsPerOp: 100,
@@ -39,7 +41,7 @@ func tailDocs(t *testing.T) (string, string) {
 		"OnlyOld": {Iterations: 1, NsPerOp: 10,
 			Metrics: map[string]float64{"read-p99-ns": 5}},
 	}}
-	nw := Document{Benchmarks: map[string]Result{
+	nw := Document{Note: note, Benchmarks: map[string]Result{
 		"TailLatency/lelantus": {Iterations: 1, NsPerOp: 90,
 			Metrics: map[string]float64{"read-p99-ns": 200, "read-p999-ns": 400}},
 		"TailLatency/lelantus-cow": {Iterations: 1, NsPerOp: 95,
@@ -112,6 +114,51 @@ func TestCompareDefaultNsPerOp(t *testing.T) {
 	}
 	if !strings.Contains(got, "| ChainHeavy/forkbench/lelantus | 50 | 45 | 1.11x |") {
 		t.Fatalf("missing ns/op row:\n%s", got)
+	}
+}
+
+// TestCompareWarnsMixedKnobs pins the knob-set label: documents whose
+// notes record different KNOBS strings, or where either records none, get
+// exactly one warning line ahead of a table that is still printed; equal
+// knob sets get none.
+func TestCompareWarnsMixedKnobs(t *testing.T) {
+	bench := map[string]Result{"ChainHeavy/forkbench/lelantus": {Iterations: 1, NsPerOp: 50,
+		Metrics: map[string]float64{"sim-ns": 1000}}}
+	timing := "generated by `make bench-json KNOBS='-fidelity timing'`; compare against BENCH_seed.json"
+	mlp := "generated by `make bench-json KNOBS='-fidelity timing -mlp on'`; compare against BENCH_seed.json"
+	bare := "generated by `make bench-json`; compare against BENCH_seed.json"
+	cases := []struct {
+		name, oldNote, newNote string
+		want                   string // "" = no knob warning
+	}{
+		{"same", timing, timing, ""},
+		{"different", timing, mlp, "KNOBS='-fidelity timing'"},
+		{"old unrecorded", bare, mlp, "records no KNOBS"},
+		{"both unrecorded", bare, bare, "records no KNOBS"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			oldPath := writeDoc(t, "old.json", Document{Note: tc.oldNote, Benchmarks: bench})
+			newPath := writeDoc(t, "new.json", Document{Note: tc.newNote, Benchmarks: bench})
+			var out, errb bytes.Buffer
+			if err := compareDocs(&out, &errb, oldPath, newPath, "sim-ns", ""); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out.String(), "| ChainHeavy/forkbench/lelantus | 1000 | 1000 | 1.00x |") {
+				t.Fatalf("table missing under a knob warning:\n%s", out.String())
+			}
+			warn := errb.String()
+			n := strings.Count(warn, "benchjson: warning: knob sets differ: ")
+			if tc.want == "" {
+				if n != 0 {
+					t.Fatalf("equal knob sets warned:\n%s", warn)
+				}
+				return
+			}
+			if n != 1 || !strings.Contains(warn, tc.want) || !strings.Contains(warn, oldPath) || !strings.Contains(warn, newPath) {
+				t.Fatalf("want one knob warning naming %q and both files, got:\n%s", tc.want, warn)
+			}
+		})
 	}
 }
 

@@ -15,10 +15,9 @@
 // default) picks timing for the full "-exp all" grid and full otherwise.
 //
 // Exit codes: 0 success, 1 runtime failure (or an unwritable profile
-// path), 2 flag/usage errors — an invalid -fidelity/-persist/-mlp/-prefetch/
-// -exp value, a negative count or an overflowing -mem is a one-line
-// diagnosis, not a partial run. The machine and profile flags are
-// internal/knobs'.
+// path), 2 flag/usage errors — an invalid -fidelity/-persist/-mlp/-exp
+// value, a negative count or an overflowing -mem is a one-line diagnosis,
+// not a partial run. The machine and profile flags are internal/knobs'.
 package main
 
 import (

@@ -20,10 +20,8 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 		{"bad fidelity", []string{"-fidelity", "fast"}, "fast"},
 		{"bad persist", []string{"-persist", "nope"}, "nope"},
 		{"bad mlp", []string{"-mlp", "maybe"}, "maybe"},
-		{"bad prefetch", []string{"-prefetch", "nope"}, "nope"},
 		{"bad experiment id", []string{"-exp", "fig99"}, "fig99"},
 		{"mem overflows bytes", []string{"-mem", "17592186044416"}, "17592186044416"},
-		{"negative prefetch depth", []string{"-prefetch-depth", "-1"}, "-prefetch-depth -1"},
 		{"negative mshrs", []string{"-mshrs", "-2"}, "-mshrs -2"},
 		{"negative mlp workers", []string{"-mlp-workers", "-3"}, "-mlp-workers -3"},
 		{"negative ranks", []string{"-ranks", "-4"}, "-ranks -4"},
@@ -104,8 +102,6 @@ func TestFlagSurface(t *testing.T) {
 		`-mshrs int`,
 		`-parallel int`,
 		`-persist string (default "strict")`,
-		`-prefetch string (default "off")`,
-		`-prefetch-depth int`,
 		`-quick`,
 		`-ranks int`,
 		`-seed int (default 1)`,

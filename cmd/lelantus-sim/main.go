@@ -10,14 +10,13 @@
 //	lelantus-sim -workload forkbench -faultseed 7 -crashpoint 120
 //	lelantus-sim -workload forkbench -scheme lelantus-cow -persist phoenix
 //	lelantus-sim -workload forkbench -scheme lelantus -mlp=on -mshrs 16 -banks 16
-//	lelantus-sim -workload forkbench -scheme lelantus-cow -prefetch=both -prefetch-depth 8
 //	lelantus-sim -workload forkbench -probe -probe-format=perfetto -probe-out trace.json
 //	lelantus-sim -probe-check trace.json
 //	lelantus-sim -list
 //
 // Exit codes: 0 success, 1 runtime failure (or recovery violations under
 // -crashpoint, or an unwritable profile path), 2 flag/usage errors — an
-// invalid -scheme/-fidelity/-persist/-mlp/-prefetch/-probe-format value, a
+// invalid -scheme/-fidelity/-persist/-mlp/-probe-format value, a
 // negative count or an overflowing -mem is a one-line diagnosis, not a
 // partial run. The machine and profile flags are internal/knobs'.
 package main
@@ -240,11 +239,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "counters   %d overflows, ctr-cache miss %.2f%%, cow-cache miss %.2f%%\n",
 		res.CtrOverflows, 100*res.CtrMissRate, 100*res.CoWMissRate)
 	fmt.Fprintf(stdout, "traffic    %.2f%% copy/init share\n", 100*res.CopyInitShare)
-	if cfg.Mem.Core.Prefetch.Mode != lelantus.PrefetchOff {
-		fmt.Fprintf(stdout, "prefetch   %d issued, %d useful, %d late, %d unused, %d dropped\n",
-			res.Engine.PrefetchIssued, res.Engine.PrefetchUseful,
-			res.Engine.PrefetchLate, res.Engine.PrefetchUnused, res.Engine.PrefetchDropped)
-	}
 	if pl != nil {
 		fmt.Fprint(stdout, pl.Summary().String())
 	}

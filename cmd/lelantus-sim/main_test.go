@@ -23,11 +23,9 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 		{"bad persist", []string{"-persist", "nope"}, "nope"},
 		{"bad persist triad arg", []string{"-persist", "triad:x"}, "triad"},
 		{"bad mlp", []string{"-mlp", "maybe"}, "maybe"},
-		{"bad prefetch", []string{"-prefetch", "nope"}, "nope"},
 		{"bad probe format", []string{"-probe", "-probe-format", "csv"}, "csv"},
 		{"bad workload", []string{"-workload", "nope"}, "nope"},
 		{"mem overflows bytes", []string{"-mem", "17592186044416"}, "17592186044416"},
-		{"negative prefetch depth", []string{"-prefetch-depth", "-1"}, "-prefetch-depth -1"},
 		{"negative mshrs", []string{"-mshrs", "-2"}, "-mshrs -2"},
 		{"negative mlp workers", []string{"-mlp-workers", "-3"}, "-mlp-workers -3"},
 		{"negative ranks", []string{"-ranks", "-4"}, "-ranks -4"},
@@ -113,8 +111,6 @@ func TestFlagSurface(t *testing.T) {
 		`-mshrs int`,
 		`-parallel int`,
 		`-persist string (default "strict")`,
-		`-prefetch string (default "off")`,
-		`-prefetch-depth int`,
 		`-probe`,
 		`-probe-check string`,
 		`-probe-format string (default "summary")`,

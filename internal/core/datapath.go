@@ -104,12 +104,6 @@ func (e *Engine) resolve(now, lineAddr uint64) ([mem.LineBytes]byte, uint64, err
 			break
 		}
 		hops++
-		if hops == 1 && e.pf != nil {
-			// First redirect on this destination page: launch the chain
-			// walker ahead of the demand walk below, so the remaining hops'
-			// metadata is in flight by the time each loadBlock needs it.
-			e.pfMaybeWalkChain(t, mem.PageOf(lineAddr), mem.PageOf(cur))
-		}
 		// Dependence-ordered: the next hop's page number comes out of the
 		// counter block just decoded (and, for Lelantus-CoW, its table
 		// entry), so chain hops can never overlap each other — even under
@@ -465,11 +459,6 @@ func (e *Engine) cowEntryView(pfn uint64) (src uint64, present bool) {
 func (e *Engine) lookupCoW(now, pfn uint64) (src uint64, ok bool, done uint64, err error) {
 	done = now + e.CtrCache.LatencyNs
 	if s, present, cached := e.CoWCache.Lookup(pfn); cached {
-		if e.pf != nil {
-			// First demand touch of a prefetched mapping claims the fill:
-			// wait for it if it is still in flight (late), credit it if not.
-			e.pfTouchCoW(now, pfn, &done)
-		}
 		if e.pr != nil {
 			e.pr.Record(probe.EvCoWHit, now, done, pfn, 0)
 		}

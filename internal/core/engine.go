@@ -34,7 +34,6 @@ import (
 	"lelantus/internal/faultinject"
 	"lelantus/internal/mem"
 	"lelantus/internal/nvm"
-	"lelantus/internal/prefetch"
 	"lelantus/internal/probe"
 )
 
@@ -162,11 +161,6 @@ type Config struct {
 	// is disabled: every access chain stays fully serial and every report
 	// byte is identical to the pre-MLP engine.
 	MLP MLPConfig
-	// Prefetch configures the metadata prefetch unit (delta-pattern
-	// prefetcher plus redirect-chain walker, see internal/prefetch). The
-	// zero value is off: the unit is never allocated and every report byte
-	// is identical to the prefetch-free engine.
-	Prefetch PrefetchConfig
 }
 
 // DefaultConfig returns the paper's parameters for a given scheme.
@@ -215,16 +209,6 @@ type Stats struct {
 	CopiedOnDemand uint64 // uncopied lines materialised by their first write
 	PhycLines      uint64 // uncopied lines materialised by page_phyc
 	ElidedLines    uint64 // uncopied lines released by page_free: never copied
-
-	// Metadata-prefetch accounting. Prefetch fills charge the Ctr/CoWMeta
-	// read counters above (they are real device traffic) but never the
-	// caches' demand hit/miss counters, so MissRate() keeps meaning "demand
-	// lookups that had to wait for NVM".
-	PrefetchIssued  uint64 // prefetch fills that landed in a cache
-	PrefetchUseful  uint64 // first demand touch arrived after the fill completed
-	PrefetchLate    uint64 // first demand touch arrived before the fill completed
-	PrefetchUnused  uint64 // prefetched entries evicted before any demand touch
-	PrefetchDropped uint64 // fills abandoned: no idle MSHR or no reclaimable way
 
 	PageCopies uint64
 	PagePhycs  uint64
@@ -296,10 +280,6 @@ type Engine struct {
 	// nil check, so the serial engine pays one compare).
 	mshr *nvm.MSHRFile
 
-	// pf is the optional metadata prefetch unit; nil means prefetch off
-	// (one pointer compare per metadata access, byte-identical reports).
-	pf *prefetch.Unit
-
 	// written marks lines that have ever been encrypted to NVM; reads of
 	// never-written lines return zeros (fresh memory). Dense bitset, one
 	// bit per data line — consulted on every read and set on every write.
@@ -324,7 +304,7 @@ func NewEngine(cfg Config, layout Layout, phys *mem.Physical, dev *nvm.Device,
 	if cfg.MLP.Enabled {
 		mshr = nvm.NewMSHRFile(cfg.MLP.MSHRs)
 	}
-	e := &Engine{
+	return &Engine{
 		cfg:         cfg,
 		layout:      layout,
 		Phys:        phys,
@@ -343,11 +323,6 @@ func NewEngine(cfg Config, layout Layout, phys *mem.Physical, dev *nvm.Device,
 		footprint:   make(map[uint64]uint64),
 		mshr:        mshr,
 	}
-	if pf := prefetch.New(cfg.Prefetch); pf != nil {
-		e.pf = pf
-		e.attachPrefetchSinks()
-	}
-	return e
 }
 
 // Scheme returns the active configuration.
@@ -464,12 +439,6 @@ func (e *Engine) ensureInit(pfn uint64) error {
 func (e *Engine) loadBlock(now, pfn uint64) (ctr.Block, uint64, error) {
 	done := now + e.CtrCache.LatencyNs
 	if blk := e.CtrCache.Get(pfn); blk != nil {
-		if e.pf != nil {
-			// A hit on a still-in-flight prefetched block waits for the fill
-			// (late) or credits it (useful); either way the fill is claimed.
-			e.pfTouchCtr(now, pfn, &done)
-			e.pfObserve(done, pfn)
-		}
 		if e.pr != nil {
 			e.pr.Record(probe.EvCtrHit, now, done, pfn, 0)
 		}
@@ -506,9 +475,6 @@ func (e *Engine) loadBlock(now, pfn uint64) (ctr.Block, uint64, error) {
 	// read does not wait on it, so its completion time is not propagated.
 	if _, err := e.installBlock(done, pfn, blk); err != nil {
 		return blk, done, err
-	}
-	if e.pf != nil {
-		e.pfObserve(done, pfn)
 	}
 	return blk, done, nil
 }
@@ -590,9 +556,6 @@ func (e *Engine) persistBlock(now, pfn uint64, blk *ctr.Block) (uint64, error) {
 func (e *Engine) storeBlock(now, pfn uint64, blk *ctr.Block) (uint64, error) {
 	done := now
 	if cached := e.CtrCache.Get(pfn); cached != nil {
-		if e.pf != nil {
-			e.pfTouchCtr(now, pfn, &done)
-		}
 		*cached = *blk
 	} else {
 		// A miss may evict a dirty victim; its write-back must complete
@@ -660,12 +623,6 @@ func (e *Engine) DrainMetadata(now uint64) (uint64, error) {
 func (e *Engine) ResetVolatile(cc *ctrcache.Cache, cow *ctrcache.CoWCache) {
 	e.CtrCache = cc
 	e.CoWCache = cow
-	if e.pf != nil {
-		// The prefetch unit's pattern tables and in-flight fills are on-chip
-		// volatile state: a power cycle cold-starts them with the caches.
-		e.pf.Reset()
-		e.attachPrefetchSinks()
-	}
 }
 
 // Track enables per-line access footprint recording for a page (Fig 10c/d).

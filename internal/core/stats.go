@@ -33,11 +33,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		CopiedOnDemand:    s.CopiedOnDemand - prev.CopiedOnDemand,
 		PhycLines:         s.PhycLines - prev.PhycLines,
 		ElidedLines:       s.ElidedLines - prev.ElidedLines,
-		PrefetchIssued:    s.PrefetchIssued - prev.PrefetchIssued,
-		PrefetchUseful:    s.PrefetchUseful - prev.PrefetchUseful,
-		PrefetchLate:      s.PrefetchLate - prev.PrefetchLate,
-		PrefetchUnused:    s.PrefetchUnused - prev.PrefetchUnused,
-		PrefetchDropped:   s.PrefetchDropped - prev.PrefetchDropped,
 		PageCopies:        s.PageCopies - prev.PageCopies,
 		PagePhycs:         s.PagePhycs - prev.PagePhycs,
 		PageFrees:         s.PageFrees - prev.PageFrees,

@@ -27,12 +27,11 @@ func (m Mode) String() string {
 }
 
 type entry struct {
-	page   uint64
-	valid  bool
-	dirty  bool
-	pfetch bool // speculatively filled, not yet touched by demand
-	tick   uint64
-	blk    ctr.Block
+	page  uint64
+	valid bool
+	dirty bool
+	tick  uint64
+	blk   ctr.Block
 }
 
 // Cache caches decoded counter blocks keyed by page frame number.
@@ -46,12 +45,6 @@ type Cache struct {
 
 	Hits, Misses uint64
 	LatencyNs    uint64
-
-	// OnPrefetchEvict, when set, is called with the page of every
-	// prefetched-but-never-demanded block that leaves the cache (evicted,
-	// invalidated or overwritten before its first Get). The prefetch engine
-	// uses it to retire in-flight state and count evicted-unused fills.
-	OnPrefetchEvict func(page uint64)
 }
 
 // New creates a counter cache of sizeBytes capacity (64 B per block).
@@ -93,7 +86,6 @@ func (c *Cache) Get(page uint64) *ctr.Block {
 	for i := range set {
 		if set[i].valid && set[i].page == page {
 			set[i].tick = c.tick
-			set[i].pfetch = false // first demand touch claims a prefetched fill
 			c.Hits++
 			return &set[i].blk
 		}
@@ -130,12 +122,6 @@ func (c *Cache) Put(page uint64, blk ctr.Block) (victim Victim, needWB bool) {
 	set := c.set(page)
 	for i := range set {
 		if set[i].valid && set[i].page == page {
-			if set[i].pfetch {
-				// Demand overwrote a fill that was never read: the prefetch
-				// did no work, so retire it as unused.
-				set[i].pfetch = false
-				c.notePrefetchEvict(page)
-			}
 			set[i].blk = blk
 			set[i].tick = c.tick
 			return Victim{}, false
@@ -146,18 +132,6 @@ func (c *Cache) Put(page uint64, blk ctr.Block) (victim Victim, needWB bool) {
 		if !set[i].valid {
 			pick = i
 			break
-		}
-	}
-	if pick < 0 {
-		// Reclaim untouched prefetched blocks before any demand block: a
-		// speculative fill must never shorten a demand block's lifetime.
-		for i := range set {
-			if set[i].pfetch && (pick < 0 || set[i].tick < set[pick].tick) {
-				pick = i
-			}
-		}
-		if pick >= 0 {
-			c.notePrefetchEvict(set[pick].page)
 		}
 	}
 	if pick < 0 {
@@ -174,76 +148,6 @@ func (c *Cache) Put(page uint64, blk ctr.Block) (victim Victim, needWB bool) {
 	}
 	set[pick] = entry{page: page, valid: true, tick: c.tick, blk: blk}
 	return victim, needWB
-}
-
-// notePrefetchEvict reports a prefetched-untouched block leaving the cache.
-func (c *Cache) notePrefetchEvict(page uint64) {
-	if c.OnPrefetchEvict != nil {
-		c.OnPrefetchEvict(page)
-	}
-}
-
-// PrefetchRoom reports whether a prefetch fill for the page would land:
-// the page is absent and its set has an invalid way, an untouched
-// prefetched block, or a clean demand block to reclaim. The prefetch
-// engine checks it before paying device traffic for a fill that would only
-// be dropped.
-func (c *Cache) PrefetchRoom(page uint64) bool {
-	set := c.set(page)
-	for i := range set {
-		if set[i].valid && set[i].page == page {
-			return false
-		}
-	}
-	for i := range set {
-		if !set[i].valid || set[i].pfetch || !set[i].dirty {
-			return true
-		}
-	}
-	return false
-}
-
-// PutPrefetched installs a speculatively fetched counter block. Unlike Put
-// it moves no hit/miss accounting and grants the fill no recency boost (a
-// later demand Get promotes it normally). The victim order is invalid way,
-// then oldest untouched prefetched block, then oldest *clean* demand block
-// — a dirty block is never displaced, so the speculative path can never
-// force a write-back; when the set is all-dirty the fill is dropped and
-// false is returned.
-func (c *Cache) PutPrefetched(page uint64, blk ctr.Block) bool {
-	c.tick++
-	set := c.set(page)
-	pick := -1
-	for i := range set {
-		if set[i].valid && set[i].page == page {
-			return false // already resident; nothing to do
-		}
-		if pick < 0 && !set[i].valid {
-			pick = i
-		}
-	}
-	if pick < 0 {
-		for i := range set {
-			if set[i].pfetch && (pick < 0 || set[i].tick < set[pick].tick) {
-				pick = i
-			}
-		}
-		if pick >= 0 {
-			c.notePrefetchEvict(set[pick].page)
-		}
-	}
-	if pick < 0 {
-		for i := range set {
-			if !set[i].dirty && (pick < 0 || set[i].tick < set[pick].tick) {
-				pick = i
-			}
-		}
-		if pick < 0 {
-			return false
-		}
-	}
-	set[pick] = entry{page: page, valid: true, pfetch: true, tick: c.tick, blk: blk}
-	return true
 }
 
 // MarkDirty flags a resident counter block as modified. It reports whether
@@ -269,9 +173,6 @@ func (c *Cache) Invalidate(page uint64) (victim Victim, needWB bool) {
 			if set[i].dirty {
 				victim = Victim{Page: page, Blk: set[i].blk}
 				needWB = true
-			}
-			if set[i].pfetch {
-				c.notePrefetchEvict(page)
 			}
 			set[i] = entry{}
 			return victim, needWB
@@ -314,11 +215,6 @@ type CoWCache struct {
 	free       []int32
 
 	Hits, Misses uint64
-
-	// OnPrefetchEvict mirrors Cache.OnPrefetchEvict for the CoW slice:
-	// called with the destination page of every prefetched-but-untouched
-	// mapping that leaves the cache.
-	OnPrefetchEvict func(dst uint64)
 }
 
 type cowEntry struct {
@@ -326,7 +222,6 @@ type cowEntry struct {
 	src        uint64
 	present    bool // false caches a negative result ("no source mapping")
 	dirty      bool // entry newer than NVM; must write back before loss
-	pfetch     bool // speculatively filled, not yet touched by demand
 	prev, next int32
 }
 
@@ -396,7 +291,6 @@ func (c *CoWCache) Lookup(dst uint64) (src uint64, present, cached bool) {
 		}
 		c.Hits++
 		e := &c.ents[i]
-		e.pfetch = false // first demand touch claims a prefetched fill
 		return e.src, e.present, true
 	}
 	c.Misses++
@@ -425,11 +319,6 @@ func (c *CoWCache) InsertDirty(dst, src uint64, present bool) (victim CoWVictim,
 func (c *CoWCache) insert(dst, src uint64, present, dirty bool) (victim CoWVictim, needWB bool) {
 	if i, ok := c.idx[dst]; ok {
 		e := &c.ents[i]
-		if e.pfetch {
-			// Demand overwrote a fill that was never read: retire it unused.
-			e.pfetch = false
-			c.notePrefetchEvict(e.dst)
-		}
 		e.src = src
 		e.present = present
 		e.dirty = dirty
@@ -451,77 +340,12 @@ func (c *CoWCache) insert(dst, src uint64, present, dirty bool) (victim CoWVicti
 			victim = CoWVictim{Dst: old.dst, Src: old.src, Present: old.present}
 			needWB = true
 		}
-		if old.pfetch {
-			c.notePrefetchEvict(old.dst)
-		}
 		delete(c.idx, c.ents[slot].dst)
 	}
 	c.ents[slot] = cowEntry{dst: dst, src: src, present: present, dirty: dirty}
 	c.pushFront(slot)
 	c.idx[dst] = slot
 	return victim, needWB
-}
-
-// notePrefetchEvict reports a prefetched-untouched mapping leaving the cache.
-func (c *CoWCache) notePrefetchEvict(dst uint64) {
-	if c.OnPrefetchEvict != nil {
-		c.OnPrefetchEvict(dst)
-	}
-}
-
-// PrefetchRoom reports whether a prefetch fill for dst would land: the
-// mapping is absent and a free slot or a reclaimable cold-end entry (an
-// untouched prefetched or clean demand mapping at the tail of the recency
-// list) is available to host it.
-func (c *CoWCache) PrefetchRoom(dst uint64) bool {
-	if _, ok := c.idx[dst]; ok {
-		return false
-	}
-	return len(c.free) > 0 || (c.tail >= 0 && !c.ents[c.tail].dirty)
-}
-
-// InsertPrefetched caches a speculatively fetched mapping without touching
-// demand accounting: no hit/miss movement, the entry joins the *cold* end
-// of the recency list (a later demand Lookup promotes it normally) and is
-// always clean. The victim order is a free slot, then the tail entry if it
-// is prefetched-untouched or a clean demand mapping — a dirty mapping is
-// never displaced, so the speculative path can never force a write-back;
-// against a dirty tail the fill is dropped and false is returned.
-func (c *CoWCache) InsertPrefetched(dst, src uint64, present bool) bool {
-	if _, ok := c.idx[dst]; ok {
-		return false // already cached; nothing to do
-	}
-	var slot int32
-	if n := len(c.free); n > 0 {
-		slot = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		if c.tail < 0 || c.ents[c.tail].dirty {
-			return false
-		}
-		slot = c.tail
-		c.unlink(slot)
-		if c.ents[slot].pfetch {
-			c.notePrefetchEvict(c.ents[slot].dst)
-		}
-		delete(c.idx, c.ents[slot].dst)
-	}
-	c.ents[slot] = cowEntry{dst: dst, src: src, present: present, pfetch: true}
-	c.pushBack(slot)
-	c.idx[dst] = slot
-	return true
-}
-
-func (c *CoWCache) pushBack(i int32) {
-	e := &c.ents[i]
-	e.prev, e.next = c.tail, -1
-	if c.tail >= 0 {
-		c.ents[c.tail].next = i
-	}
-	c.tail = i
-	if c.head < 0 {
-		c.head = i
-	}
 }
 
 // Peek returns the cached mapping state for a destination page without any
@@ -553,9 +377,6 @@ func (c *CoWCache) DrainDirty(sink func(CoWVictim)) {
 // later DrainDirty never resurrects the dead entry.
 func (c *CoWCache) Drop(dst uint64) {
 	if i, ok := c.idx[dst]; ok {
-		if c.ents[i].pfetch {
-			c.notePrefetchEvict(dst)
-		}
 		c.unlink(i)
 		delete(c.idx, dst)
 		c.ents[i] = cowEntry{}

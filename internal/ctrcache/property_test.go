@@ -8,19 +8,17 @@ import (
 
 // The property tests below drive the caches with long random operation
 // mixes against independent reference models. The counter-cache model is a
-// plain per-set scan over the documented policy (LRU demand order, prefetch
-// victims before demand victims, dirty blocks never displaced by a
-// speculative fill); the CoW model is a recency-ordered slice. Divergence
-// in any return value, hit/miss counter, write-back victim, prefetch-evict
-// callback or final residency fails the test with the op trace position.
+// plain per-set scan over the documented policy (invalid way first, then
+// the LRU way); the CoW model is a recency-ordered slice. Divergence in any
+// return value, hit/miss counter, write-back victim or final residency
+// fails the test with the op trace position.
 
 // cmEntry mirrors one cache way in the reference model.
 type cmEntry struct {
-	page   uint64
-	valid  bool
-	dirty  bool
-	pfetch bool
-	tick   uint64
+	page  uint64
+	valid bool
+	dirty bool
+	tick  uint64
 }
 
 // cacheModel is the reference implementation of Cache's replacement policy.
@@ -28,7 +26,6 @@ type cacheModel struct {
 	sets, ways int
 	tick       uint64
 	ents       [][]cmEntry
-	evicts     []uint64 // prefetch-evict callback trace
 }
 
 func newCacheModel(sets, ways int) *cacheModel {
@@ -55,7 +52,6 @@ func (m *cacheModel) get(page uint64) bool {
 	m.tick++
 	if e := m.find(page); e != nil {
 		e.tick = m.tick
-		e.pfetch = false
 		return true
 	}
 	return false
@@ -65,10 +61,6 @@ func (m *cacheModel) put(page uint64, dirtyNew bool) (victim uint64, needWB bool
 	m.tick++
 	set := m.set(page)
 	if e := m.find(page); e != nil {
-		if e.pfetch {
-			e.pfetch = false
-			m.evicts = append(m.evicts, page)
-		}
 		e.tick = m.tick
 		e.dirty = e.dirty || dirtyNew
 		return 0, false
@@ -78,16 +70,6 @@ func (m *cacheModel) put(page uint64, dirtyNew bool) (victim uint64, needWB bool
 		if !set[i].valid {
 			pick = i
 			break
-		}
-	}
-	if pick < 0 {
-		for i := range set {
-			if set[i].pfetch && (pick < 0 || set[i].tick < set[pick].tick) {
-				pick = i
-			}
-		}
-		if pick >= 0 {
-			m.evicts = append(m.evicts, set[pick].page)
 		}
 	}
 	if pick < 0 {
@@ -105,74 +87,18 @@ func (m *cacheModel) put(page uint64, dirtyNew bool) (victim uint64, needWB bool
 	return victim, needWB
 }
 
-func (m *cacheModel) putPrefetched(page uint64) bool {
-	m.tick++
-	set := m.set(page)
-	if m.find(page) != nil {
-		return false
-	}
-	pick := -1
-	for i := range set {
-		if !set[i].valid {
-			pick = i
-			break
-		}
-	}
-	if pick < 0 {
-		for i := range set {
-			if set[i].pfetch && (pick < 0 || set[i].tick < set[pick].tick) {
-				pick = i
-			}
-		}
-		if pick >= 0 {
-			m.evicts = append(m.evicts, set[pick].page)
-		}
-	}
-	if pick < 0 {
-		for i := range set {
-			if !set[i].dirty && (pick < 0 || set[i].tick < set[pick].tick) {
-				pick = i
-			}
-		}
-		if pick < 0 {
-			return false
-		}
-	}
-	set[pick] = cmEntry{page: page, valid: true, pfetch: true, tick: m.tick}
-	return true
-}
-
 func (m *cacheModel) invalidate(page uint64) (wasDirty bool) {
 	if e := m.find(page); e != nil {
 		wasDirty = e.dirty
-		if e.pfetch {
-			m.evicts = append(m.evicts, page)
-		}
 		*e = cmEntry{}
 	}
 	return wasDirty
 }
 
-func (m *cacheModel) prefetchRoom(page uint64) bool {
-	if m.find(page) != nil {
-		return false
-	}
-	for _, e := range m.set(page) {
-		if !e.valid || e.pfetch || !e.dirty {
-			return true
-		}
-	}
-	return false
-}
-
 // TestCachePropertyVsModel runs a long random mix of Get, Put, Peek,
-// MarkDirty, Invalidate, PutPrefetched and PrefetchRoom on a small cache
-// and checks every observable — return values, hit/miss counters, dirty
-// write-back victims, the prefetch-evict callback trace and the final
-// residency of every page — against the reference model. In particular the
-// model encodes that a speculative fill reclaims an invalid way, then the
-// oldest untouched prefetched block, then the oldest clean demand block,
-// and is dropped rather than ever displacing a dirty block.
+// MarkDirty and Invalidate on a small cache and checks every observable —
+// return values, hit/miss counters, dirty write-back victims and the final
+// residency of every page — against the reference model.
 func TestCachePropertyVsModel(t *testing.T) {
 	const (
 		ways  = 4
@@ -181,15 +107,13 @@ func TestCachePropertyVsModel(t *testing.T) {
 		ops   = 20000
 	)
 	c := New(uint64(sets*ways*64), ways, WriteBack, 0)
-	var implEvicts []uint64
-	c.OnPrefetchEvict = func(page uint64) { implEvicts = append(implEvicts, page) }
 	m := newCacheModel(sets, ways)
 	rng := rand.New(rand.NewSource(7))
 
 	var hits, misses uint64
 	for op := 0; op < ops; op++ {
 		page := uint64(rng.Intn(pages))
-		switch rng.Intn(10) {
+		switch rng.Intn(8) {
 		case 0, 1, 2: // Get
 			got := c.Get(page) != nil
 			want := m.get(page)
@@ -221,30 +145,11 @@ func TestCachePropertyVsModel(t *testing.T) {
 			if want := m.invalidate(page); wb != want {
 				t.Fatalf("op %d: Invalidate(%d) dirty=%v, model %v", op, page, wb, want)
 			}
-		case 8: // PutPrefetched
-			got := c.PutPrefetched(page, blk(page))
-			if want := m.putPrefetched(page); got != want {
-				t.Fatalf("op %d: PutPrefetched(%d)=%v, model %v", op, page, got, want)
-			}
-		case 9: // PrefetchRoom is a pure predicate
-			got := c.PrefetchRoom(page)
-			if want := m.prefetchRoom(page); got != want {
-				t.Fatalf("op %d: PrefetchRoom(%d)=%v, model %v", op, page, got, want)
-			}
-		}
-		if len(implEvicts) != len(m.evicts) {
-			t.Fatalf("op %d: %d prefetch-evict callbacks, model %d", op, len(implEvicts), len(m.evicts))
 		}
 	}
 	if c.Hits != hits || c.Misses != misses {
 		t.Errorf("counters %d/%d, model %d/%d — a non-demand path moved demand accounting",
 			c.Hits, c.Misses, hits, misses)
-	}
-	for i := range implEvicts {
-		if implEvicts[i] != m.evicts[i] {
-			t.Errorf("prefetch-evict trace diverges at %d: %d vs model %d", i, implEvicts[i], m.evicts[i])
-			break
-		}
 	}
 	for page := uint64(0); page < pages; page++ {
 		if got, want := c.Peek(page) != nil, m.find(page) != nil; got != want {
@@ -255,10 +160,9 @@ func TestCachePropertyVsModel(t *testing.T) {
 
 // cowModel is the reference recency order for CoWCache.
 type cowModel struct {
-	order  []uint64 // most-recent-first
-	state  map[uint64]*cowEntry
-	cap    int
-	evicts []uint64
+	order []uint64 // most-recent-first
+	state map[uint64]*cowEntry
+	cap   int
 }
 
 func (m *cowModel) unlink(dst uint64) {
@@ -286,16 +190,11 @@ func (m *cowModel) lookup(dst uint64) (src uint64, present, cached bool) {
 		return 0, false, false
 	}
 	m.front(dst)
-	e.pfetch = false
 	return e.src, e.present, true
 }
 
 func (m *cowModel) insert(dst, src uint64, present, dirty bool) (victim uint64, needWB bool) {
 	if e, ok := m.state[dst]; ok {
-		if e.pfetch {
-			e.pfetch = false
-			m.evicts = append(m.evicts, dst)
-		}
 		e.src, e.present, e.dirty = src, present, dirty
 		m.front(dst)
 		return 0, false
@@ -306,9 +205,6 @@ func (m *cowModel) insert(dst, src uint64, present, dirty bool) (victim uint64, 
 		if old.dirty {
 			victim, needWB = tail, true
 		}
-		if old.pfetch {
-			m.evicts = append(m.evicts, tail)
-		}
 		m.remove(tail)
 	}
 	m.state[dst] = &cowEntry{dst: dst, src: src, present: present, dirty: dirty}
@@ -316,33 +212,8 @@ func (m *cowModel) insert(dst, src uint64, present, dirty bool) (victim uint64, 
 	return victim, needWB
 }
 
-func (m *cowModel) insertPrefetched(dst, src uint64, present bool) bool {
-	if _, ok := m.state[dst]; ok {
-		return false
-	}
-	if len(m.order) == m.cap {
-		tail := m.order[len(m.order)-1]
-		old := m.state[tail]
-		if old.dirty {
-			return false
-		}
-		if old.pfetch {
-			m.evicts = append(m.evicts, tail)
-		}
-		m.remove(tail)
-	}
-	m.state[dst] = &cowEntry{dst: dst, src: src, present: present, pfetch: true}
-	m.order = append(m.order, dst)
-	return true
-}
-
 func (m *cowModel) drop(dst uint64) {
-	if e, ok := m.state[dst]; ok {
-		if e.pfetch {
-			m.evicts = append(m.evicts, dst)
-		}
-		m.remove(dst)
-	}
+	m.remove(dst)
 }
 
 func (m *cowModel) drainDirty() []uint64 {
@@ -405,8 +276,7 @@ func checkCoWIntegrity(t *testing.T, op int, c *CoWCache, m *cowModel) {
 }
 
 // TestCoWCachePropertyVsModel runs a long random mix of Lookup, Insert,
-// InsertDirty, InsertPrefetched, Peek, Drop, DrainDirty and PrefetchRoom on
-// a small CoWCache, checking every return value against the recency model
+// InsertDirty, Peek, Drop and DrainDirty on a small CoWCache, checking every return value against the recency model
 // and the intrusive list's structural integrity after every operation.
 func TestCoWCachePropertyVsModel(t *testing.T) {
 	const (
@@ -415,8 +285,6 @@ func TestCoWCachePropertyVsModel(t *testing.T) {
 		ops      = 20000
 	)
 	c := NewCoW(capacity * 8)
-	var implEvicts []uint64
-	c.OnPrefetchEvict = func(dst uint64) { implEvicts = append(implEvicts, dst) }
 	m := &cowModel{cap: capacity, state: map[uint64]*cowEntry{}}
 	rng := rand.New(rand.NewSource(11))
 
@@ -424,7 +292,7 @@ func TestCoWCachePropertyVsModel(t *testing.T) {
 	for op := 0; op < ops; op++ {
 		dst := uint64(rng.Intn(pages))
 		src := dst + 1000
-		switch rng.Intn(12) {
+		switch rng.Intn(10) {
 		case 0, 1, 2: // Lookup
 			gs, gp, gc := c.Lookup(dst)
 			ws, wp, wc := m.lookup(dst)
@@ -449,16 +317,10 @@ func TestCoWCachePropertyVsModel(t *testing.T) {
 			if wb != mwb || (wb && v.Dst != mv) {
 				t.Fatalf("op %d: InsertDirty(%d) victim=(%v,%v), model (%v,%v)", op, dst, v.Dst, wb, mv, mwb)
 			}
-		case 7, 8: // InsertPrefetched
-			present := rng.Intn(4) != 0
-			got := c.InsertPrefetched(dst, src, present)
-			if want := m.insertPrefetched(dst, src, present); got != want {
-				t.Fatalf("op %d: InsertPrefetched(%d)=%v, model %v", op, dst, got, want)
-			}
-		case 9: // Drop
+		case 7: // Drop
 			c.Drop(dst)
 			m.drop(dst)
-		case 10: // DrainDirty: same victim set, then nothing left dirty
+		case 8: // DrainDirty: same victim set, then nothing left dirty
 			var drained []uint64
 			c.DrainDirty(func(v CoWVictim) { drained = append(drained, v.Dst) })
 			sort.Slice(drained, func(i, j int) bool { return drained[i] < drained[j] })
@@ -471,31 +333,16 @@ func TestCoWCachePropertyVsModel(t *testing.T) {
 					t.Fatalf("op %d: DrainDirty flushed %v, model %v", op, drained, want)
 				}
 			}
-		case 11: // Peek and PrefetchRoom are pure
+		case 9: // Peek is pure
 			_, cachedIn := m.state[dst]
 			if _, _, gc := c.Peek(dst); gc != cachedIn {
 				t.Fatalf("op %d: Peek(%d)=%v, model %v", op, dst, gc, cachedIn)
 			}
-			got := c.PrefetchRoom(dst)
-			want := !cachedIn && (len(m.order) < m.cap ||
-				(len(m.order) > 0 && !m.state[m.order[len(m.order)-1]].dirty))
-			if got != want {
-				t.Fatalf("op %d: PrefetchRoom(%d)=%v, model %v", op, dst, got, want)
-			}
 		}
 		checkCoWIntegrity(t, op, c, m)
-		if len(implEvicts) != len(m.evicts) {
-			t.Fatalf("op %d: %d prefetch-evict callbacks, model %d", op, len(implEvicts), len(m.evicts))
-		}
 	}
 	if c.Hits != hits || c.Misses != misses {
 		t.Errorf("counters %d/%d, model %d/%d — a non-demand path moved demand accounting",
 			c.Hits, c.Misses, hits, misses)
-	}
-	for i := range implEvicts {
-		if implEvicts[i] != m.evicts[i] {
-			t.Errorf("prefetch-evict trace diverges at %d: %d vs model %d", i, implEvicts[i], m.evicts[i])
-			break
-		}
 	}
 }

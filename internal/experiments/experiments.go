@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"lelantus/internal/core"
-	"lelantus/internal/ctrcache"
 	"lelantus/internal/knobs"
 	"lelantus/internal/probe"
 	"lelantus/internal/sim"
@@ -28,8 +27,7 @@ type Options struct {
 	// paper-comparable defaults.
 	Quick bool
 	// Knobs are the machine knobs every run applies (knobs.Apply). The
-	// persist, mlp and prefetch matrices override only the field they
-	// sweep. DefaultOptions sizes memory at 512 MiB: big enough for every
+	// persist and mlp matrices override only the field they sweep. DefaultOptions sizes memory at 512 MiB: big enough for every
 	// workload while keeping host memory modest; the paper's 16 GB changes
 	// nothing for these working sets.
 	Knobs knobs.Knobs
@@ -183,7 +181,6 @@ func All(o Options) ([]*Report, error) {
 		{"ablation-writequeue", AblationWriteQueue},
 		{"persist-matrix", PersistMatrix},
 		{"mlp-matrix", MLPMatrix},
-		{"prefetch-matrix", PrefetchMatrix},
 	}
 	for _, g := range gens {
 		r, err := g.f(o)
@@ -239,8 +236,6 @@ func generatorByID(id string) (func(Options) (*Report, error), error) {
 		return PersistMatrix, nil
 	case "mlp-matrix":
 		return MLPMatrix, nil
-	case "prefetch-matrix":
-		return PrefetchMatrix, nil
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q (see -list)", id)
 }
@@ -269,7 +264,5 @@ func IDs() []string {
 		"fig9-2MB", "fig10", "tableV", "fig11-4KB", "fig11-2MB", "fig12",
 		"ablation-nonsecure", "ablation-cowcache", "ablation-ctrcache",
 		"ablation-wear", "ablation-tlb", "usecases", "ablation-writequeue",
-		"persist-matrix", "mlp-matrix", "prefetch-matrix"}
+		"persist-matrix", "mlp-matrix"}
 }
-
-var _ = ctrcache.WriteBack // referenced by fig12.go

@@ -33,7 +33,11 @@ type State struct {
 	Failed   int    `json:"failed"`
 }
 
-const stateVersion = 1
+// stateVersion changes whenever the canonical Spec or CellSpec encoding
+// does, because cell IDs and the spec hash are taken over that encoding.
+// LoadState checks it before the hash, so a checkpoint from an older
+// encoding is refused as an old version, not reported as tampered.
+const stateVersion = 2
 
 // SaveState checkpoints the state with the classic atomic sequence: write
 // to a temp file in the same directory, fsync, rename over state.json. A
@@ -81,7 +85,7 @@ func LoadState(dir string) (*State, error) {
 		return nil, fmt.Errorf("grid: corrupt checkpoint %s: %w", filepath.Join(dir, stateFile), err)
 	}
 	if st.Version != stateVersion {
-		return nil, fmt.Errorf("grid: checkpoint version %d (this build understands %d)", st.Version, stateVersion)
+		return nil, fmt.Errorf("grid: checkpoint version %d (this build understands %d): rerun the grid in a fresh directory", st.Version, stateVersion)
 	}
 	if got := st.Spec.Hash(); got != st.SpecHash {
 		return nil, fmt.Errorf("grid: checkpoint spec hash %s does not match its spec (%s): refusing to resume a tampered grid", st.SpecHash, got)

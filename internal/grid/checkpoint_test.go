@@ -70,6 +70,67 @@ func TestLoadStateRejectsMissingAndCorrupt(t *testing.T) {
 	}
 }
 
+// stateV1Quick is the quick preset's checkpoint exactly as a version-1
+// build wrote it. Its spec carries the since-removed prefetch axis, so
+// its recorded hash no longer matches the spec this build decodes.
+const stateV1Quick = `{
+ "version": 1,
+ "specHash": "b5046f603e0f06c7",
+ "spec": {
+  "name": "quick",
+  "workloads": [
+   "forkbench"
+  ],
+  "huge": [
+   false
+  ],
+  "seeds": [
+   1
+  ],
+  "schemes": [
+   "baseline",
+   "silent-shredder",
+   "lelantus",
+   "lelantus-cow"
+  ],
+  "fidelity": "timing",
+  "persist": [
+   "strict"
+  ],
+  "mlp": [
+   "off"
+  ],
+  "prefetch": [
+   "off"
+  ],
+  "faultSeeds": [
+   1
+  ],
+  "crashPoints": [
+   0
+  ],
+  "quick": true
+ },
+ "total": 4,
+ "done": 4,
+ "failed": 0
+}
+`
+
+// TestLoadStateRejectsVersion1 pins that a pre-version-2 checkpoint fails
+// with the version error, not with the spec-hash (tamper) error its
+// dropped prefetch key would otherwise trigger.
+func TestLoadStateRejectsVersion1(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, stateFile), []byte(stateV1Quick), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadState(dir)
+	if err == nil || !strings.Contains(err.Error(), "checkpoint version 1 ") || strings.Contains(err.Error(), "tampered") {
+		t.Fatalf("version-1 checkpoint: err = %v, want the version error", err)
+	}
+}
+
 func TestLoadStateRejectsTamperedSpec(t *testing.T) {
 	dir := t.TempDir()
 	st := testState()

@@ -175,7 +175,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lelantus-grid run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", "grid-run", "grid directory (checkpoint, results log, report)")
-	preset := fs.String("spec", "", "named preset spec (quick, schemes-matrix, persist-matrix, mlp-matrix, prefetch-matrix, crash-matrix); axis flags override its axes")
+	preset := fs.String("spec", "", "named preset spec (quick, schemes-matrix, persist-matrix, mlp-matrix, crash-matrix); axis flags override its axes")
 	name := fs.String("name", "", "grid name recorded in the report")
 	workloads := fs.String("workloads", "", "comma-separated catalogue workloads (default forkbench)")
 	schemes := fs.String("schemes", "", "comma-separated schemes (default all four)")
@@ -183,8 +183,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	seeds := fs.String("seeds", "", "comma-separated workload generator seeds (default 1)")
 	persist := fs.String("persist", "", "comma-separated persistence strategies: strict | phoenix | triad:N (default strict)")
 	mlp := fs.String("mlp", "", "comma-separated MLP modes: off | on (default off)")
-	prefetch := fs.String("prefetch", "", "comma-separated prefetch modes: off | delta | chain | both (default off)")
-	prefetchDepth := fs.Int("prefetch-depth", 0, "pages per confirmed delta prediction (0 = default 4)")
 	fidelity := fs.String("fidelity", "", "fidelity for every cell: full | timing (default timing; reports are byte-identical either way)")
 	faultSeeds := fs.String("faultseeds", "", "comma-separated fault-plane seeds for crash cells (default 1)")
 	crashPoints := fs.String("crashpoints", "", "comma-separated persist points to crash cells at (default none)")
@@ -232,10 +230,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 			spec.Persist = splitCSV(*persist)
 		case "mlp":
 			spec.MLP = splitCSV(*mlp)
-		case "prefetch":
-			spec.Prefetch = splitCSV(*prefetch)
-		case "prefetch-depth":
-			spec.PrefetchDepth = *prefetchDepth
 		case "fidelity":
 			spec.Fidelity = *fidelity
 		case "faultseeds":

@@ -92,8 +92,6 @@ func TestCLIRunFlagSurface(t *testing.T) {
 		`-name string`,
 		`-page string (default 4kb)`,
 		`-persist string (default strict)`,
-		`-prefetch string (default off)`,
-		`-prefetch-depth int`,
 		`-quick`,
 		`-quiet`,
 		`-ranks int`,

@@ -34,17 +34,15 @@ type CellSpec struct {
 	Workload string `json:"workload"`
 	Huge     bool   `json:"huge,omitempty"`
 	Seed     int64  `json:"seed"`
-	// Scheme/Fidelity/Persist/MLP/Prefetch are the flag spellings, parsed
-	// by the same knobs.Apply the CLIs use; empty strings select the
-	// defaults (full fidelity, strict persistence, mlp/prefetch off). The
-	// struct stays flat (not a knobs.Knobs field) so its canonical JSON,
-	// and with it every cell ID, is unchanged.
-	Scheme        string `json:"scheme"`
-	Fidelity      string `json:"fidelity,omitempty"`
-	Persist       string `json:"persist,omitempty"`
-	MLP           string `json:"mlp,omitempty"`
-	Prefetch      string `json:"prefetch,omitempty"`
-	PrefetchDepth int    `json:"prefetchDepth,omitempty"`
+	// Scheme/Fidelity/Persist/MLP are the flag spellings, parsed by the
+	// same knobs.Apply the CLIs use; empty strings select the defaults
+	// (full fidelity, strict persistence, mlp off). The struct stays flat
+	// (not a knobs.Knobs field): its canonical JSON is the cell's on-disk
+	// identity, and the benchmark module builds CellSpec literals.
+	Scheme   string `json:"scheme"`
+	Fidelity string `json:"fidelity,omitempty"`
+	Persist  string `json:"persist,omitempty"`
+	MLP      string `json:"mlp,omitempty"`
 	// FaultSeed seeds the fault plane of a crash cell; CrashPoint > 0
 	// turns the cell into a crash-recovery cell (sim.CrashAt at that
 	// persist point) instead of a plain measurement run.
@@ -90,9 +88,6 @@ func (c CellSpec) Tag() string {
 	if c.MLP == "on" {
 		tag += "/mlp"
 	}
-	if c.Prefetch != "" && c.Prefetch != "off" {
-		tag += "/prefetch=" + c.Prefetch
-	}
 	if c.CrashPoint > 0 {
 		tag += fmt.Sprintf("/crash@%d", c.CrashPoint)
 	}
@@ -120,12 +115,10 @@ func (c CellSpec) Build() (sim.Config, workload.Script, error) {
 		// goroutine pools. Results are byte-identical at any pool size
 		// (pinned by TestMLPOnPoolSizeDeterminism), so this is purely a
 		// scheduling choice.
-		MLPWorkers:    1,
-		Prefetch:      c.Prefetch,
-		PrefetchDepth: c.PrefetchDepth,
-		Ranks:         c.Ranks,
-		Banks:         c.Banks,
-		MemMB:         c.MemMB,
+		MLPWorkers: 1,
+		Ranks:      c.Ranks,
+		Banks:      c.Banks,
+		MemMB:      c.MemMB,
 	}
 	if err := k.Apply(&cfg); err != nil {
 		return zero, workload.Script{}, err
@@ -176,20 +169,18 @@ type Spec struct {
 	// Fidelity applies to every cell (default "timing": the grid is a bulk
 	// statistics run and reports are pinned byte-identical either way).
 	Fidelity string   `json:"fidelity,omitempty"`
-	Persist  []string `json:"persist,omitempty"`  // default {"strict"}
-	MLP      []string `json:"mlp,omitempty"`      // default {"off"}
-	Prefetch []string `json:"prefetch,omitempty"` // default {"off"}
+	Persist  []string `json:"persist,omitempty"` // default {"strict"}
+	MLP      []string `json:"mlp,omitempty"`     // default {"off"}
 	// CrashPoints > 0 adds crash-recovery cells; FaultSeeds seeds their
 	// fault planes (default {1}). An empty CrashPoints list means plain
 	// measurement cells only.
-	FaultSeeds    []int64  `json:"faultSeeds,omitempty"`
-	CrashPoints   []uint64 `json:"crashPoints,omitempty"`
-	PrefetchDepth int      `json:"prefetchDepth,omitempty"`
-	MemMB         uint64   `json:"memMB,omitempty"`
-	Quick         bool     `json:"quick,omitempty"`
-	RegionKB      uint64   `json:"regionKB,omitempty"`
-	Ranks         int      `json:"ranks,omitempty"`
-	Banks         int      `json:"banks,omitempty"`
+	FaultSeeds  []int64  `json:"faultSeeds,omitempty"`
+	CrashPoints []uint64 `json:"crashPoints,omitempty"`
+	MemMB       uint64   `json:"memMB,omitempty"`
+	Quick       bool     `json:"quick,omitempty"`
+	RegionKB    uint64   `json:"regionKB,omitempty"`
+	Ranks       int      `json:"ranks,omitempty"`
+	Banks       int      `json:"banks,omitempty"`
 	// Tail records per-event-class latency percentiles in every
 	// measurement cell's result (see CellSpec.Tail).
 	Tail bool `json:"tail,omitempty"`
@@ -227,7 +218,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	s.Persist = defaultStrings(s.Persist, "strict")
 	s.MLP = defaultStrings(s.MLP, "off")
-	s.Prefetch = defaultStrings(s.Prefetch, "off")
 	if len(s.FaultSeeds) == 0 {
 		s.FaultSeeds = []int64{1}
 	}
@@ -249,33 +239,29 @@ func (s Spec) Cells() []CellSpec {
 				for _, scheme := range s.Schemes {
 					for _, persist := range s.Persist {
 						for _, mlp := range s.MLP {
-							for _, pf := range s.Prefetch {
-								for _, cp := range s.CrashPoints {
-									seeds := []int64{0}
-									if cp > 0 {
-										seeds = s.FaultSeeds
-									}
-									for _, fs := range seeds {
-										cells = append(cells, CellSpec{
-											Workload:      wl,
-											Huge:          huge,
-											Seed:          seed,
-											Scheme:        scheme,
-											Fidelity:      s.Fidelity,
-											Persist:       persist,
-											MLP:           mlp,
-											Prefetch:      pf,
-											PrefetchDepth: s.PrefetchDepth,
-											FaultSeed:     fs,
-											CrashPoint:    cp,
-											MemMB:         s.MemMB,
-											Quick:         s.Quick,
-											RegionKB:      s.RegionKB,
-											Ranks:         s.Ranks,
-											Banks:         s.Banks,
-											Tail:          s.Tail,
-										})
-									}
+							for _, cp := range s.CrashPoints {
+								seeds := []int64{0}
+								if cp > 0 {
+									seeds = s.FaultSeeds
+								}
+								for _, fs := range seeds {
+									cells = append(cells, CellSpec{
+										Workload:   wl,
+										Huge:       huge,
+										Seed:       seed,
+										Scheme:     scheme,
+										Fidelity:   s.Fidelity,
+										Persist:    persist,
+										MLP:        mlp,
+										FaultSeed:  fs,
+										CrashPoint: cp,
+										MemMB:      s.MemMB,
+										Quick:      s.Quick,
+										RegionKB:   s.RegionKB,
+										Ranks:      s.Ranks,
+										Banks:      s.Banks,
+										Tail:       s.Tail,
+									})
 								}
 							}
 						}
@@ -322,7 +308,7 @@ func (s Spec) Hash() string {
 }
 
 // Presets returns the named grid specs mirroring the experiment harness's
-// matrix experiments (persist-matrix, mlp-matrix, prefetch-matrix) plus
+// matrix experiments (persist-matrix, mlp-matrix) plus
 // the quick smoke grid and the crash matrix, so the resumable service
 // runs the same sweeps `lelantus-bench` runs in one process. The presets
 // produce the raw per-cell results; the derived comparison tables
@@ -354,14 +340,6 @@ func Presets() []Spec {
 			Workloads: []string{"forkbench"},
 			Schemes:   all,
 			MLP:       []string{"off", "on"},
-			Quick:     true,
-		},
-		{
-			Name:      "prefetch-matrix",
-			Workloads: []string{"forkbench", "shell"},
-			Schemes:   all,
-			MLP:       []string{"on"},
-			Prefetch:  []string{"off", "delta", "chain", "both"},
 			Quick:     true,
 		},
 		{

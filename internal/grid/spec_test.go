@@ -68,9 +68,7 @@ func TestSpecValidateRejectsBadAxes(t *testing.T) {
 		{"bad scheme", Spec{Workloads: []string{"forkbench"}, Schemes: []string{"nope"}, RegionKB: 64}, "scheme"},
 		{"bad workload", Spec{Workloads: []string{"nope"}}, "nope"},
 		{"bad persist", Spec{Workloads: []string{"forkbench"}, Persist: []string{"nope"}, RegionKB: 64}, "persist"},
-		{"bad prefetch", Spec{Workloads: []string{"forkbench"}, Prefetch: []string{"nope"}, RegionKB: 64}, "prefetch"},
 		{"duplicate axis value", Spec{Workloads: []string{"forkbench"}, Schemes: []string{"lelantus", "lelantus"}, RegionKB: 64}, "identical"},
-		{"negative prefetch depth", Spec{Workloads: []string{"forkbench"}, PrefetchDepth: -1, RegionKB: 64}, "-prefetch-depth -1"},
 		{"negative ranks", Spec{Workloads: []string{"forkbench"}, Ranks: -2, RegionKB: 64}, "-ranks -2"},
 		{"negative banks", Spec{Workloads: []string{"forkbench"}, Banks: -3, RegionKB: 64}, "-banks -3"},
 		{"mem overflows bytes", Spec{Workloads: []string{"forkbench"}, MemMB: 1 << 44, RegionKB: 64}, "17592186044416"},

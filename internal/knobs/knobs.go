@@ -1,6 +1,6 @@
 // Package knobs is the one surface for the machine knobs layered on the
-// paper's Table III machine (fidelity, persistence strategy, MLP, metadata
-// prefetch, device geometry and memory size) and for the host profiles.
+// paper's Table III machine (fidelity, persistence strategy, MLP, device
+// geometry and memory size) and for the host profiles.
 // lelantus-sim and lelantus-bench register these flags here, grid cells
 // and the experiment harness stamp them through Apply, and the benchmark
 // harness parses its LELANTUS_KNOBS string with RegisterFlags. Parsing,
@@ -25,16 +25,14 @@ import (
 // paths. The zero value is the Table III machine with every beyond-the-
 // paper plane off.
 type Knobs struct {
-	Fidelity      string // full | timing ("" = full)
-	Persist       string // strict | phoenix | triad:N ("" = strict)
-	MLP           string // off | on ("" = off)
-	MSHRs         int    // MSHR registers under MLP (0 = nvm.DefaultMSHRs)
-	MLPWorkers    int    // page-engine goroutine pool under MLP (0 = GOMAXPROCS)
-	Prefetch      string // off | delta | chain | both ("" = off)
-	PrefetchDepth int    // pages per confirmed delta prediction (0 = default)
-	Ranks         int    // NVM ranks (0 = default)
-	Banks         int    // NVM banks per rank (0 = default)
-	MemMB         uint64 // simulated NVM capacity in MiB (0 = Table III 16 GiB)
+	Fidelity   string // full | timing ("" = full)
+	Persist    string // strict | phoenix | triad:N ("" = strict)
+	MLP        string // off | on ("" = off)
+	MSHRs      int    // MSHR registers under MLP (0 = nvm.DefaultMSHRs)
+	MLPWorkers int    // page-engine goroutine pool under MLP (0 = GOMAXPROCS)
+	Ranks      int    // NVM ranks (0 = default)
+	Banks      int    // NVM banks per rank (0 = default)
+	MemMB      uint64 // simulated NVM capacity in MiB (0 = Table III 16 GiB)
 
 	// CPUProfile and MemProfile are host profile paths for StartProfiles;
 	// Apply ignores them.
@@ -56,8 +54,6 @@ func (k *Knobs) RegisterFlags(fs *flag.FlagSet) {
 	enum(&k.MLP, "mlp", "off", "memory-level parallelism: off (serial engine) | on (MSHR-overlapped metadata path); measurements change, traffic does not")
 	fs.IntVar(&k.MSHRs, "mshrs", k.MSHRs, "MSHR registers for -mlp=on (0 = default 8)")
 	fs.IntVar(&k.MLPWorkers, "mlp-workers", k.MLPWorkers, "goroutine pool for the batched page engines under -mlp=on (0 = all CPUs); output is identical at any setting")
-	enum(&k.Prefetch, "prefetch", "off", "metadata prefetch: off | delta (counter-stride) | chain (redirect-chain walker) | both; timing and metadata traffic change, functional state does not")
-	fs.IntVar(&k.PrefetchDepth, "prefetch-depth", k.PrefetchDepth, "pages per confirmed delta prediction for -prefetch=delta/both (0 = default 4)")
 	fs.IntVar(&k.Ranks, "ranks", k.Ranks, "NVM ranks (0 = default 2)")
 	fs.IntVar(&k.Banks, "banks", k.Banks, "NVM banks per rank (0 = default 8)")
 	fs.Uint64Var(&k.MemMB, "mem", k.MemMB, "simulated NVM capacity in MiB (0 = Table III 16 GiB)")
@@ -84,14 +80,10 @@ func (k Knobs) Apply(cfg *sim.Config) error {
 	if err != nil {
 		return err
 	}
-	pfMode, err := core.ParsePrefetchMode(k.Prefetch)
-	if err != nil {
-		return err
-	}
 	for _, c := range []struct {
 		flag string
 		v    int
-	}{{"mshrs", k.MSHRs}, {"mlp-workers", k.MLPWorkers}, {"prefetch-depth", k.PrefetchDepth}, {"ranks", k.Ranks}, {"banks", k.Banks}} {
+	}{{"mshrs", k.MSHRs}, {"mlp-workers", k.MLPWorkers}, {"ranks", k.Ranks}, {"banks", k.Banks}} {
 		if c.v < 0 {
 			return fmt.Errorf("knobs: negative -%s %d (want >= 0; 0 = default)", c.flag, c.v)
 		}
@@ -103,7 +95,6 @@ func (k Knobs) Apply(cfg *sim.Config) error {
 	cfg.Mem.Core.Fidelity = fidelity
 	cfg.Mem.Core.Persist = persist
 	cfg.Mem.Core.MLP = core.MLPConfig{Enabled: mlpOn, MSHRs: k.MSHRs, Workers: k.MLPWorkers}
-	cfg.Mem.Core.Prefetch = core.PrefetchConfig{Mode: pfMode, Depth: k.PrefetchDepth}
 	if k.Ranks > 0 {
 		cfg.Mem.NVM.Ranks = k.Ranks
 	}

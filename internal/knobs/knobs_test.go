@@ -14,7 +14,7 @@ import (
 // explicit MemMB of 0) leave the Table III machine exactly as
 // sim.DefaultConfig built it, 16 GiB included.
 func TestZeroKnobsKeepDefaults(t *testing.T) {
-	for _, k := range []Knobs{{}, {MemMB: 0, Fidelity: "full", Persist: "strict", MLP: "off", Prefetch: "off"}} {
+	for _, k := range []Knobs{{}, {MemMB: 0, Fidelity: "full", Persist: "strict", MLP: "off"}} {
 		cfg := sim.DefaultConfig(core.Lelantus)
 		if err := k.Apply(&cfg); err != nil {
 			t.Fatalf("Apply(%+v): %v", k, err)
@@ -36,7 +36,7 @@ func TestApplyStampsEveryKnob(t *testing.T) {
 	var k Knobs
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	k.RegisterFlags(fs)
-	args := "-fidelity timing -persist triad:2 -mlp on -mshrs 16 -mlp-workers 3 -prefetch both -prefetch-depth 2 -ranks 4 -banks 16 -mem 128"
+	args := "-fidelity timing -persist triad:2 -mlp on -mshrs 16 -mlp-workers 3 -ranks 4 -banks 16 -mem 128"
 	if err := fs.Parse(strings.Fields(args)); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,6 @@ func TestApplyStampsEveryKnob(t *testing.T) {
 	c := cfg.Mem.Core
 	if c.Fidelity != core.FidelityTiming || c.Persist.Name() != "triad:2" ||
 		c.MLP != (core.MLPConfig{Enabled: true, MSHRs: 16, Workers: 3}) ||
-		c.Prefetch != (core.PrefetchConfig{Mode: core.PrefetchBoth, Depth: 2}) ||
 		cfg.Mem.NVM.Ranks != 4 || cfg.Mem.NVM.BanksPerRank != 16 || cfg.Mem.MemBytes != 128<<20 {
 		t.Fatalf("%q stamped %+v", args, cfg.Mem)
 	}
@@ -64,10 +63,8 @@ func TestApplyRejectsBadValues(t *testing.T) {
 		{Knobs{Fidelity: "fast"}, "fast"},
 		{Knobs{Persist: "triad:0"}, "triad"},
 		{Knobs{MLP: "maybe"}, "maybe"},
-		{Knobs{Prefetch: "nope"}, "nope"},
 		{Knobs{MSHRs: -1}, "-mshrs -1"},
 		{Knobs{MLPWorkers: -2}, "-mlp-workers -2"},
-		{Knobs{PrefetchDepth: -3}, "-prefetch-depth -3"},
 		{Knobs{Ranks: -4}, "-ranks -4"},
 		{Knobs{Banks: -5}, "-banks -5"},
 		{Knobs{MemMB: 1 << 44}, "17592186044416"},

@@ -197,13 +197,9 @@ var tracks = [NumKinds]struct {
 	EvBMTVerify:   {6, "bmt"},
 	EvBMTUpdate:   {6, "bmt"},
 	EvOverflow:    {7, "overflow"},
-	EvFault:          {8, "faults"},
-	EvKernelFault:    {9, "kernel"},
-	EvRecovery:       {10, "recovery"},
-	EvPrefetchIssue:  {11, "prefetch"},
-	EvPrefetchUseful: {11, "prefetch"},
-	EvPrefetchLate:   {11, "prefetch"},
-	EvPrefetchUnused: {11, "prefetch"},
+	EvFault:       {8, "faults"},
+	EvKernelFault: {9, "kernel"},
+	EvRecovery:    {10, "recovery"},
 }
 
 // usec renders simulated ns as the microsecond floats Chrome trace events

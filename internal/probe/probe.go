@@ -63,16 +63,6 @@ const (
 	// leaf-digest rebuild rides the pass-1 block scan (before the pass-2
 	// tree rebuild) and the pass-3 span carries the chain-walk device reads.
 	EvRecovery
-	// EvPrefetchIssue .. EvPrefetchUnused are metadata-prefetch events
-	// (Arg 0: counter block, 1: CoW-table entry). Issue spans the fill's
-	// device time; Useful/Late mark the first demand touch of a prefetched
-	// entry (after/before its fill completed); Unused marks a prefetched
-	// entry evicted untouched. Only a prefetch-enabled engine emits them,
-	// so prefetch-off exports stay byte-identical.
-	EvPrefetchIssue
-	EvPrefetchUseful
-	EvPrefetchLate
-	EvPrefetchUnused
 
 	// NumKinds bounds the Kind space.
 	NumKinds
@@ -85,7 +75,6 @@ var kindNames = [NumKinds]string{
 	"cow-hit", "cow-miss",
 	"bmt-verify", "bmt-update",
 	"overflow-sweep", "fault-inject", "kernel-fault", "recovery",
-	"prefetch-issue", "prefetch-useful", "prefetch-late", "prefetch-unused",
 }
 
 func (k Kind) String() string {

@@ -359,9 +359,8 @@ type ShellParams struct {
 	// Scan, when true, has each child read back one line of every page it
 	// dirtied — the `find` pass over the tree. The setup writes materialise
 	// only a few random lines per page, so almost every scan load resolves
-	// the page's fresh redirect chain: the access pattern the metadata
-	// chain walker targets. False (the zero value) keeps the catalogue
-	// access pattern byte for byte.
+	// the page's fresh redirect chain. False (the zero value) keeps the
+	// catalogue access pattern byte for byte.
 	Scan bool
 }
 
@@ -382,8 +381,8 @@ func Shell(huge bool, seed int64) Script {
 
 // ShellWith is Shell at explicit scale: a larger-than-default image turns
 // each child's pass over the shared pages into counter-cache capacity
-// misses (the metadata-prefetch benchmark cell), while the default
-// parameters reproduce the catalogue workload byte for byte.
+// misses (BenchmarkChainHeavy's shell cell), while the default parameters
+// reproduce the catalogue workload byte for byte.
 func ShellWith(p ShellParams) Script {
 	huge := p.Huge
 	rng := rand.New(rand.NewSource(p.Seed))

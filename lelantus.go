@@ -79,28 +79,6 @@ type MLPConfig = core.MLPConfig
 // ParseMLP maps an -mlp flag value ("on", "off") to an enable bit.
 func ParseMLP(name string) (bool, error) { return core.ParseMLP(name) }
 
-// PrefetchConfig drives the metadata prefetch unit: a per-region delta
-// prefetcher over counter-block/CoW-table pages and a redirect-chain walker
-// that pre-fetches every hop's metadata on first touch of a redirected
-// page. The zero value is off — every report byte then matches the
-// prefetch-free engine. Set it via Config.Mem.Core.Prefetch.
-type PrefetchConfig = core.PrefetchConfig
-
-// PrefetchMode selects which prefetch schemes run.
-type PrefetchMode = core.PrefetchMode
-
-// The prefetch modes. PrefetchOff is the zero value and the default.
-const (
-	PrefetchOff   = core.PrefetchOff
-	PrefetchDelta = core.PrefetchDelta
-	PrefetchChain = core.PrefetchChain
-	PrefetchBoth  = core.PrefetchBoth
-)
-
-// ParsePrefetchMode maps a -prefetch flag value ("off", "delta", "chain",
-// "both"; empty means off) to its PrefetchMode.
-func ParsePrefetchMode(name string) (PrefetchMode, error) { return core.ParsePrefetchMode(name) }
-
 // Schemes lists every scheme in comparison order.
 func Schemes() []Scheme { return core.Schemes() }
 
