@@ -21,9 +21,11 @@ test:
 # probe plane is per-machine state, so its sim-level tests ride too. The
 # nvm and issuewin packages carry the MSHR file and the deterministic
 # pool; the sim MLP determinism tests drive the pooled page engines and
-# recovery passes multi-worker under the detector.
+# recovery passes multi-worker under the detector. The core and memctrl
+# packages run those pools directly: the batched page_phyc and recovery
+# passes 1 and 4 (TestRecoveryReportMLPInvariant runs them at 4 workers).
 race:
-	$(GO) test -race -short ./internal/sim/... ./internal/experiments/... ./internal/faultinject/... ./internal/probe/... ./internal/nvm/... ./internal/issuewin/... ./internal/grid/... ./internal/steal/... ./internal/metrics/...
+	$(GO) test -race -short ./internal/sim/... ./internal/experiments/... ./internal/faultinject/... ./internal/probe/... ./internal/nvm/... ./internal/issuewin/... ./internal/grid/... ./internal/steal/... ./internal/metrics/... ./internal/core/... ./internal/memctrl/...
 
 # No panic() may be reachable from the public Machine/Controller API:
 # internal-invariant failures surface as typed errors through Run.

@@ -350,8 +350,7 @@ func BenchmarkTailLatency(b *testing.B) {
 
 // BenchmarkOverflowSweep measures the minor-counter overflow re-encryption
 // sweep: hammering one line overflows its minor counter every few stores,
-// so the 64-line page re-encryption dominates — the sweep-heavy cell the
-// batched MLP path targets.
+// so the 64-line page re-encryption dominates.
 func BenchmarkOverflowSweep(b *testing.B) {
 	for _, s := range []core.Scheme{core.Lelantus, core.LelantusCoW} {
 		b.Run(s.String(), func(b *testing.B) {

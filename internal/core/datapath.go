@@ -126,41 +126,25 @@ func (e *Engine) resolve(now, lineAddr uint64) ([mem.LineBytes]byte, uint64, err
 	if !e.written.Test(lineNo) {
 		// The line was never encrypted to NVM (e.g. the shared zero frame):
 		// its plaintext is zeros. The fetch is still charged — the device
-		// does not know the content is dead.
-		if e.mlpOn() {
-			// MLP: the fetch issued the moment the address was known,
-			// overlapping the counter fetch; the zero decision itself still
-			// needs the counter, so retire is the later of the two.
-			t = maxU64(t, e.mshrRead(issueT, cur))
-		} else {
-			t = e.Mem.Read(t, cur)
-		}
+		// does not know the content is dead. Under MLP it issued the moment
+		// the address was known; the zero decision still needs the counter.
+		t = e.readLeg(t, issueT, cur)
 		e.Stats.DataReads++
 		e.Stats.ZeroReads++
 		return zeroLine, t, nil
 	}
 	var ciph [mem.LineBytes]byte
 	e.Phys.ReadLine(cur, &ciph)
-	var fetchDone uint64
-	if e.mlpOn() {
-		// MLP: issue the data fetch when the final address became known —
-		// for chains, when the last redirect was decoded — instead of after
-		// the final counter block returns. The counter fetch, its BMT
-		// verify and the data read then occupy distinct banks concurrently
-		// (this models an always-correct no-redirect predictor: traffic is
-		// identical to the serial engine, only completion moves).
-		fetchDone = e.mshrRead(issueT, cur)
-	} else {
-		fetchDone = e.Mem.Read(t, cur)
-	}
+	// Under MLP the data fetch issues when the final address became known —
+	// for chains, when the last redirect was decoded — instead of after the
+	// final counter block returns. The counter fetch, its BMT verify and the
+	// data read then occupy distinct banks concurrently (this models an
+	// always-correct no-redirect predictor: traffic is identical to the
+	// serial engine, only completion moves).
+	fetchDone := e.readLeg(t, issueT, cur)
 	e.Stats.DataReads++
 	if e.cfg.NonSecure {
-		// Plaintext at rest: no pad, no MAC (paper Section III-G). The
-		// redirect/zero decision still came from the counter block, so
-		// retire cannot precede it.
-		if e.mlpOn() {
-			fetchDone = maxU64(fetchDone, t)
-		}
+		// Plaintext at rest: no pad, no MAC (paper Section III-G).
 		return ciph, fetchDone, nil
 	}
 	// OTP generation overlaps the data fetch (paper Fig. 1). Dependence-
@@ -340,20 +324,6 @@ func (e *Engine) reencryptPage(now, pfn uint64, blk *ctr.Block, skipLine int) (u
 	oldMajor := blk.Major
 	oldMinor := blk.Minor
 	reenc := blk.BumpMajor()
-	if e.mlpOn() {
-		// MLP: the sweep's lines are mutually independent (each is read
-		// under the old epoch and written under the new), so the crypto
-		// fans out over the issue-window pool and the NVM legs go through
-		// the MSHR file and the bank queues.
-		done, err := e.reencryptBatched(now, pfn, blk, skipLine, oldMajor, oldMinor, reenc)
-		if err != nil {
-			return done, err
-		}
-		if e.pr != nil {
-			e.pr.Record(probe.EvOverflow, now, done, pfn, e.Stats.ReencryptedLines-lines0)
-		}
-		return done, nil
-	}
 	done := now
 	for _, i := range reenc {
 		if i == skipLine {
@@ -370,11 +340,11 @@ func (e *Engine) reencryptPage(now, pfn uint64, blk *ctr.Block, skipLine int) (u
 			// Plaintext at rest is epoch-invariant: the sweep moves no
 			// bytes at all. Only the two pad generations per line and the
 			// read+write NVM traffic and latency of the full path remain.
-			rt := e.Mem.Read(now, la)
+			rt := e.readLeg(now, now, la)
 			e.Stats.DataReads++
 			e.Enc.NotePad() // decrypt under the old epoch
 			e.Enc.NotePad() // encrypt under the new one
-			wt := e.Mem.Write(rt+e.cfg.AESLatencyNs, la)
+			wt := e.writeLeg(rt+e.cfg.AESLatencyNs, la)
 			e.Stats.DataWrites++
 			e.Stats.ReencryptedLines++
 			// No byte movement to fault, but the persist point still counts
@@ -389,9 +359,9 @@ func (e *Engine) reencryptPage(now, pfn uint64, blk *ctr.Block, skipLine int) (u
 		}
 		var ciph [mem.LineBytes]byte
 		e.Phys.ReadLine(la, &ciph)
-		// Already issue-parallel: every sweep read issues at `now` and the
-		// bank queues serialize conflicts — MLP adds only the MSHR gate.
-		rt := e.Mem.Read(now, la)
+		// Independent legs: every sweep read issues at `now` and the bank
+		// queues serialize conflicts — MLP adds only the MSHR gate.
+		rt := e.readLeg(now, now, la)
 		e.Stats.DataReads++
 		if err := e.MACs.Verify(lineNo, ciph[:], oldMajor, oldMinor[i]); err != nil {
 			return rt, err
@@ -400,7 +370,7 @@ func (e *Engine) reencryptPage(now, pfn uint64, blk *ctr.Block, skipLine int) (u
 		newCiph := e.Enc.Encrypt(&plain, lineNo, blk.Major, blk.Minor[i])
 		dec := e.persistDataLine(la, &newCiph)
 		e.MACs.Update(lineNo, newCiph[:], blk.Major, blk.Minor[i])
-		wt := e.Mem.Write(rt+e.cfg.AESLatencyNs, la)
+		wt := e.writeLeg(rt+e.cfg.AESLatencyNs, la)
 		e.Stats.DataWrites++
 		e.Stats.ReencryptedLines++
 		e.fiObserve(dec, la, &plain)

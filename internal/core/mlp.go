@@ -20,15 +20,18 @@ import (
 //   - An MSHR file lets the *independent* legs of a line access — the final
 //     data fetch against the counter-block fetch and verify it overlaps —
 //     occupy distinct device banks concurrently, so completion is the max of
-//     the overlapped legs instead of their sum. Dependence-ordered legs
-//     (redirect-chain hops, pad-gated writes) stay serial; each kept
-//     serialization is documented at its site.
+//     the overlapped legs instead of their sum. Every such leg issues
+//     through readLeg or writeLeg. Dependence-ordered legs (redirect-chain
+//     hops, pad-gated writes) stay serial; each kept serialization is
+//     documented at its site.
 //
-//   - An issue window batches the per-line work of the page engines
-//     (page_phyc, CopyPageFull, ZeroPageFull, the re-encryption sweep, the
-//     recovery scrub): per-line jobs are fanned over a deterministic
-//     goroutine pool and merged in line order, so results are byte-identical
-//     at any Workers value — only wall-clock changes with pool size.
+//   - An issue window batches the per-line work of page_phyc and of
+//     recovery passes 1 and 4: per-line jobs are fanned over a
+//     deterministic goroutine pool and merged in line order, so results are
+//     byte-identical at any Workers value — only wall-clock changes with
+//     pool size. The other page engines (CopyPageFull, ZeroPageFull, the
+//     re-encryption sweep) issue every line at the engine's start instead
+//     of threading one line's completion into the next.
 type MLPConfig struct {
 	// Enabled turns the model on. Off, the MSHR file is never allocated and
 	// the hot paths pay one nil compare.
@@ -64,27 +67,41 @@ func ParseMLP(s string) (bool, error) {
 func (e *Engine) mlpOn() bool { return e.mshr != nil }
 
 // MLPEnabled is mlpOn for callers outside the package (the controller's
-// page engines batch their line loops on it).
+// full-page engines pick their line issue rule on it).
 func (e *Engine) MLPEnabled() bool { return e.mlpOn() }
 
-// mshrRead issues an overlapped read leg through the MSHR file: the leg
-// starts when a register frees (stalling past issue if all are busy) and
-// holds it until the device read completes.
-func (e *Engine) mshrRead(issue, addr uint64) uint64 {
-	if e.pr != nil {
-		e.pr.ObserveMSHROcc(e.mshr.Busy(issue))
+// readLeg issues an overlappable device read and returns when its result is
+// usable. ready is when the serial engine would issue it (the leg's own
+// dependences have resolved); known is the earlier instant its address was
+// known. With MLP off the read issues at ready. With MLP on it issues
+// through the MSHR file at known (stalling while every register is busy)
+// and retires no earlier than ready: the decision that confirms the leg
+// still gates its use. Every overlappable engine leg issues through this
+// or writeLeg, so these two hold the per-leg difference between the
+// models. Dependence-ordered legs (counter blocks,
+// CoW-table entries, writeLine's pad-gated data write) call e.Mem directly
+// in both models.
+func (e *Engine) readLeg(ready, known, addr uint64) uint64 {
+	if !e.mlpOn() {
+		return e.Mem.Read(ready, addr)
 	}
-	return e.mshr.Issue(issue, func(start uint64) uint64 {
+	if e.pr != nil {
+		e.pr.ObserveMSHROcc(e.mshr.Busy(known))
+	}
+	return maxU64(ready, e.mshr.Issue(known, func(start uint64) uint64 {
 		return e.Mem.Read(start, addr)
-	})
+	}))
 }
 
-// mshrWrite is mshrRead for an independent write leg.
-func (e *Engine) mshrWrite(issue, addr uint64) uint64 {
-	if e.pr != nil {
-		e.pr.ObserveMSHROcc(e.mshr.Busy(issue))
+// writeLeg is readLeg for an independent write issued at ready.
+func (e *Engine) writeLeg(ready, addr uint64) uint64 {
+	if !e.mlpOn() {
+		return e.Mem.Write(ready, addr)
 	}
-	return e.mshr.Issue(issue, func(start uint64) uint64 {
+	if e.pr != nil {
+		e.pr.ObserveMSHROcc(e.mshr.Busy(ready))
+	}
+	return e.mshr.Issue(ready, func(start uint64) uint64 {
 		return e.Mem.Write(start, addr)
 	})
 }
@@ -319,17 +336,15 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 			e.Stats.ZeroReads++
 			rt = h.done
 		case !isWritten[i]:
-			rt = maxU64(h.done, e.mshrRead(h.issue, srcLA[i]))
+			rt = e.readLeg(h.done, h.issue, srcLA[i])
 			e.Stats.DataReads++
 			e.Stats.ZeroReads++
 		default:
-			fetch := e.mshrRead(h.issue, srcLA[i])
+			rt = e.readLeg(h.done, h.issue, srcLA[i])
 			e.Stats.DataReads++
-			if e.cfg.NonSecure {
-				rt = maxU64(fetch, h.done)
-			} else {
+			if !e.cfg.NonSecure {
 				// Pad generation overlaps the fetch but needs the counter.
-				rt = maxU64(fetch, h.done+e.cfg.AESLatencyNs)
+				rt = maxU64(rt, h.done+e.cfg.AESLatencyNs)
 			}
 		}
 		if full && crypt[i].err != nil {
@@ -349,7 +364,7 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 				e.Phys.ReadLine(srcLA[i], &plain)
 			}
 			dec = e.persistDataLine(la, &plain)
-			wt = e.mshrWrite(rt, la)
+			wt = e.writeLeg(rt, la)
 			e.fiObserve(dec, la, &plain)
 		case e.cfg.Fidelity == FidelityTiming:
 			var plain [mem.LineBytes]byte
@@ -359,7 +374,7 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 			}
 			e.Enc.NotePads(1) // the elided encrypt
 			dec = e.persistDataLine(la, &plain)
-			wt = e.mshrWrite(rt+e.cfg.AESLatencyNs, la)
+			wt = e.writeLeg(rt+e.cfg.AESLatencyNs, la)
 			e.fiObserve(dec, la, &plain)
 		default:
 			if isWritten[i] && !s.zero {
@@ -368,7 +383,7 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 			e.Enc.NotePads(1) // the worker's encrypt
 			dec = e.persistDataLine(la, &crypt[i].ciph)
 			e.MACs.StoreSum(lineNo, crypt[i].sum)
-			wt = e.mshrWrite(rt+e.cfg.AESLatencyNs, la)
+			wt = e.writeLeg(rt+e.cfg.AESLatencyNs, la)
 			e.fiObserve(dec, la, &crypt[i].plain)
 		}
 		e.Stats.DataWrites++
@@ -385,110 +400,6 @@ func (e *Engine) phycLinesBatched(t, src, dst uint64, blk *ctr.Block) (done uint
 		}
 	}
 	return done, copied, nil
-}
-
-// reencCrypto is the pool output of one batched re-encryption line.
-type reencCrypto struct {
-	plain   [mem.LineBytes]byte
-	newCiph [mem.LineBytes]byte
-	sum     bmt.Digest
-	err     error
-}
-
-// reencryptBatched is the MLP replacement for the re-encryption sweep's
-// per-line loop. All lines of the page are independent (read under the old
-// epoch, written under the new), so the crypto fans out over the pool and
-// the read/write legs go through the MSHR file; the serial commit phase
-// keeps stats, persistence and fault points in ascending line order.
-func (e *Engine) reencryptBatched(now, pfn uint64, blk *ctr.Block, skipLine int,
-	oldMajor uint64, oldMinor [mem.LinesPerPage]uint8, reenc []int) (uint64, error) {
-	lines := make([]int, 0, len(reenc))
-	for _, i := range reenc {
-		if i == skipLine {
-			continue
-		}
-		if !e.written.Test(mem.LineNo(mem.LineAddr(pfn, i))) {
-			// Randomly initialised counter with no resident data: the new
-			// epoch needs no data movement for this line.
-			continue
-		}
-		lines = append(lines, i)
-	}
-	done := now
-	if len(lines) == 0 {
-		return done, nil
-	}
-
-	full := e.cfg.Fidelity == FidelityFull
-	crypt := make([]reencCrypto, len(lines))
-	if full {
-		// Copied out so the pool closure never captures blk: a leaked
-		// *ctr.Block would force writeLine's counter block to the heap,
-		// breaking the MLP-off zero-alloc hot-path gate.
-		newMajor := blk.Major
-		newMinor := blk.Minor
-		issuewin.RunWith(e.cfg.MLP.workers(), len(lines),
-			func() *encWorkerPair { return e.newEncWorkerPair() },
-			func(wp *encWorkerPair, j int) {
-				i := lines[j]
-				la := mem.LineAddr(pfn, i)
-				lineNo := mem.LineNo(la)
-				c := &crypt[j]
-				var ciph [mem.LineBytes]byte
-				e.Phys.ReadLine(la, &ciph)
-				if verr := wp.mac.Verify(lineNo, ciph[:], oldMajor, oldMinor[i]); verr != nil {
-					c.err = verr
-					return
-				}
-				c.plain = wp.enc.Decrypt(&ciph, lineNo, oldMajor, oldMinor[i])
-				c.newCiph = wp.enc.Encrypt(&c.plain, lineNo, newMajor, newMinor[i])
-				c.sum = wp.mac.Sum(lineNo, c.newCiph[:], newMajor, newMinor[i])
-			})
-	}
-
-	for j, i := range lines {
-		la := mem.LineAddr(pfn, i)
-		lineNo := mem.LineNo(la)
-		// Independent legs: every line's read issues at the sweep start —
-		// the MSHR file and the bank queues decide the real spread.
-		rt := e.mshrRead(now, la)
-		e.Stats.DataReads++
-		if full {
-			if crypt[j].err != nil {
-				return rt, crypt[j].err
-			}
-			e.Enc.NotePads(2) // the worker's decrypt + encrypt
-			dec := e.persistDataLine(la, &crypt[j].newCiph)
-			e.MACs.StoreSum(lineNo, crypt[j].sum)
-			wt := e.mshrWrite(rt+e.cfg.AESLatencyNs, la)
-			e.Stats.DataWrites++
-			e.Stats.ReencryptedLines++
-			e.fiObserve(dec, la, &crypt[j].plain)
-			if dec.Action == faultinject.ActCrash {
-				return wt, dec.Err
-			}
-			if d := e.fiHit(faultinject.ReencryptLine); d.Action == faultinject.ActCrash {
-				return wt, d.Err
-			}
-			if wt > done {
-				done = wt
-			}
-			continue
-		}
-		// Timing fidelity: plaintext at rest is epoch-invariant — only the
-		// pad accounting and the NVM traffic of the full path remain.
-		e.Enc.NotePads(2)
-		wt := e.mshrWrite(rt+e.cfg.AESLatencyNs, la)
-		e.Stats.DataWrites++
-		e.Stats.ReencryptedLines++
-		if d := e.fiHit(faultinject.ReencryptLine); d.Action == faultinject.ActCrash {
-			return wt, d.Err
-		}
-		if wt > done {
-			done = wt
-		}
-	}
-	return done, nil
 }
 
 // encWorkerPair bundles the per-worker crypto scratch the batched paths

@@ -97,15 +97,15 @@ func (p *Plane) Summary() RunSummary {
 	s.Retained = len(p.ring)
 	s.Dropped = p.dropped
 	for k := Kind(0); k < NumKinds; k++ {
-		s.Recorded += p.total[k]
-		if p.total[k] == 0 {
+		h := p.lat[k]
+		s.Recorded += h.Count
+		if h.Count == 0 {
 			continue
 		}
-		h := p.lat[k]
 		ps := h.Percentiles(50, 90, 99, 99.9)
 		s.Events = append(s.Events, EventClassSummary{
 			Kind:    k.String(),
-			Count:   p.total[k],
+			Count:   h.Count,
 			P50:     ps[0],
 			P90:     ps[1],
 			P99:     ps[2],

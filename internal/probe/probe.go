@@ -158,7 +158,8 @@ type Sample struct {
 type Config struct {
 	// RingCap bounds the event ring buffer (default 1<<16 events). When the
 	// ring wraps, the oldest events are overwritten and counted as dropped;
-	// histograms and totals always cover the full run.
+	// the per-kind histograms (whose counts are the event totals) always
+	// cover the full run.
 	RingCap int
 	// SampleNs is the simulated-time interval between time-series samples
 	// (0 disables sampling).
@@ -177,12 +178,11 @@ type Plane struct {
 	wrapped bool
 	dropped uint64
 
-	total [NumKinds]uint64
-	lat   [NumKinds]metrics.Hist
-	chain LinHist // redirect-chain hops per ReadLine
-	occ   LinHist // write-queue occupancy observed at each WriteLine
-	mshr  LinHist // MSHR registers busy at each overlapped-leg issue (MLP)
-	bankQ LinHist // device bank-queue depth at each access issue (MLP)
+	lat   [NumKinds]metrics.Hist // per-kind latency; Count is the event count
+	chain LinHist                // redirect-chain hops per ReadLine
+	occ   LinHist                // write-queue occupancy observed at each WriteLine
+	mshr  LinHist                // MSHR registers busy at each overlapped-leg issue (MLP)
+	bankQ LinHist                // device bank-queue depth at each access issue (MLP)
 
 	lastNs uint64 // high-water simulated time across recorded events
 
@@ -234,7 +234,6 @@ func (p *Plane) Record(k Kind, start, end, addr, arg uint64) {
 	if end < start {
 		end = start
 	}
-	p.total[k]++
 	p.lat[k].Observe(end - start)
 	if end > p.lastNs {
 		p.lastNs = end
@@ -297,7 +296,7 @@ func (p *Plane) Count(k Kind) uint64 {
 	if p == nil {
 		return 0
 	}
-	return p.total[k]
+	return p.lat[k].Count
 }
 
 // Dropped returns how many events the bounded ring overwrote.

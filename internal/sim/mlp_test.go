@@ -18,8 +18,7 @@ func mlpConfig(s core.Scheme, f core.Fidelity, seed int64, workers int) Config {
 }
 
 // overflowScript drives two lines through hundreds of non-temporal rewrites
-// so minor counters overflow and the page re-encryption sweep runs — the
-// batched reencrypt path under MLP.
+// so minor counters overflow and the page re-encryption sweep runs.
 func overflowScript() workload.Script {
 	b := workload.NewBuilder("mlp-overflow")
 	b.Spawn(0)
@@ -41,9 +40,9 @@ func overflowScript() workload.Script {
 
 // TestMLPOffKnobInert pins the -mlp=off contract: a disabled MLPConfig with
 // non-zero MSHR and worker counts changes nothing — every Result field is
-// identical to the zero-config machine. Combined with the construction that
-// every mlp=off branch is the pre-PR code verbatim, this is the byte-identity
-// guarantee for disabled MLP.
+// identical to the zero-config machine. TestMLPResultsGolden pins the
+// absolute mlp=off results; together they are the byte-identity guarantee
+// for disabled MLP.
 func TestMLPOffKnobInert(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		script := randomScript(seed)
@@ -72,8 +71,8 @@ func TestMLPOffKnobInert(t *testing.T) {
 // MSHR-overlapped engine: for random scripts over every scheme, the Result
 // under mlp=on must be identical whether the crypto data plane ran or was
 // elided. The scripts' forks plus munmaps exercise page_phyc (the batched
-// chain-walk copy) and the overflow script exercises the batched
-// re-encryption sweep; the test refuses to pass if neither fired.
+// chain-walk copy) and the overflow script exercises the re-encryption
+// sweep; the test refuses to pass if either never fired.
 func TestMLPOnFidelityEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6}
 	if testing.Short() {
