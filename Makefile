@@ -24,8 +24,11 @@ test:
 # recovery passes multi-worker under the detector. The core and memctrl
 # packages run those pools directly: the batched page_phyc and recovery
 # passes 1 and 4 (TestRecoveryReportMLPInvariant runs them at 4 workers).
+# The bmt and enc packages hold the crypto substrates those pools share
+# read-only: per-worker MAC/leaf verifiers over one store and tree, and
+# per-worker pad generators over one AES key schedule.
 race:
-	$(GO) test -race -short ./internal/sim/... ./internal/experiments/... ./internal/faultinject/... ./internal/probe/... ./internal/nvm/... ./internal/issuewin/... ./internal/grid/... ./internal/steal/... ./internal/metrics/... ./internal/core/... ./internal/memctrl/...
+	$(GO) test -race -short ./internal/sim/... ./internal/experiments/... ./internal/faultinject/... ./internal/probe/... ./internal/nvm/... ./internal/issuewin/... ./internal/grid/... ./internal/steal/... ./internal/metrics/... ./internal/core/... ./internal/memctrl/... ./internal/bmt/... ./internal/enc/...
 
 # No panic() may be reachable from the public Machine/Controller API:
 # internal-invariant failures surface as typed errors through Run.

@@ -11,13 +11,19 @@
 //
 // The implementation is built for the simulator's hot path:
 //
-//   - One HMAC state per Tree/MACStore, reused via Reset(): crypto/hmac
-//     caches the padded-key states after the first Sum, so a reset is a
-//     small fixed-size restore instead of a fresh key schedule, and no
-//     per-operation allocation happens. Scratch buffers live in the struct
-//     so nothing passed to the hash interface escapes to the heap. The
-//     price is that a Tree or MACStore must not be used concurrently —
-//     which the per-machine simulator never does.
+//   - The tree hashes with HMAC-SHA256, one state per Tree (and per
+//     LeafVerifier), reused via Reset(): crypto/hmac caches the padded-key
+//     states after the first Sum, so a reset is a small fixed-size restore
+//     instead of a fresh key schedule, and no per-operation allocation
+//     happens. Scratch buffers live in the struct so nothing passed to the
+//     hash interface escapes to the heap. The price is that a Tree must not
+//     be used concurrently — which the per-machine simulator never does.
+//   - Line MACs are AES-GMAC tags (mac.go), the Carter-Wegman construction
+//     of Gueron's memory encryption engine: the (address, counter) nonce
+//     the counter-mode pads already use is unique per write, so one AES
+//     block and a GHASH over the line replace an HMAC's three SHA-256
+//     compressions. The tree keeps HMAC: a node's (level, index) would be
+//     its nonce, and it repeats on every update.
 //   - Root maintenance is lazy: Update computes the new leaf hash
 //     immediately (the raw block is not retained) and only marks the
 //     leaf-to-root path dirty; inner nodes and the root are recomputed on
@@ -72,18 +78,16 @@ type Tree struct {
 	dirty   []map[uint64]struct{}
 	pending bool
 
-	// mac is the reusable keyed HMAC state; idxBuf/childBuf/sumBuf are the
-	// scratch buffers handed to it (struct fields, so the interface call
-	// does not force a heap allocation per operation). key is retained so
+	// leaf hashes counter blocks into leaf digests. mac is the reusable
+	// keyed HMAC state for inner nodes; childBuf/sumBuf are the scratch
+	// buffers handed to it (struct fields, so the interface call does not
+	// force a heap allocation per operation). key is retained so
 	// NewLeafVerifier can derive independent states for concurrent readers.
 	key      []byte
+	leaf     leafHasher
 	mac      hash.Hash
-	idxBuf   [8]byte
 	childBuf [hashSize]byte
 	sumBuf   [hashSize]byte
-	// rawBuf keeps a reusable copy of leaf content so the caller's buffer
-	// never escapes through the hash interface.
-	rawBuf []byte
 
 	Updates  uint64
 	verifies uint64
@@ -100,7 +104,8 @@ func New(key []byte, nBlocks uint64) *Tree {
 	for span := uint64(1); span < nBlocks; span *= Arity {
 		levels++
 	}
-	t := &Tree{levels: levels, mac: hmac.New(sha256.New, key), key: append([]byte(nil), key...)}
+	t := &Tree{levels: levels, key: append([]byte(nil), key...),
+		leaf: newLeafHasher(key), mac: hmac.New(sha256.New, key)}
 	t.nodes = make([]map[uint64][hashSize]byte, levels)
 	t.dirty = make([]map[uint64]struct{}, levels)
 	for i := range t.nodes {
@@ -109,7 +114,7 @@ func New(key []byte, nBlocks uint64) *Tree {
 	}
 	// Default (empty) hashes, bottom-up.
 	t.defaults = make([][hashSize]byte, levels)
-	t.defaults[0] = t.leafHash(^uint64(0), nil)
+	t.defaults[0] = t.leaf.sum(^uint64(0), nil)
 	for l := 1; l < levels; l++ {
 		t.defaults[l] = t.innerHash(t.defaults[l-1])
 	}
@@ -135,14 +140,31 @@ func (t *Tree) finish() [hashSize]byte {
 	return t.sumBuf
 }
 
-func (t *Tree) leafHash(idx uint64, raw []byte) [hashSize]byte {
-	binary.LittleEndian.PutUint64(t.idxBuf[:], idx)
-	t.rawBuf = append(t.rawBuf[:0], raw...)
-	t.mac.Reset()
-	t.mac.Write(leafTag)
-	t.mac.Write(t.idxBuf[:])
-	t.mac.Write(t.rawBuf)
-	return t.finish()
+// leafHasher computes leaf digests, HMAC-SHA256 over leafTag ‖ idx ‖ raw,
+// with a private HMAC state and scratch: the Tree owns one and each
+// LeafVerifier another, so concurrent leaf checks never share state.
+type leafHasher struct {
+	mac    hash.Hash
+	idxBuf [8]byte
+	sumBuf [hashSize]byte
+	// rawBuf keeps a reusable copy of leaf content so the caller's buffer
+	// never escapes through the hash interface.
+	rawBuf []byte
+}
+
+func newLeafHasher(key []byte) leafHasher {
+	return leafHasher{mac: hmac.New(sha256.New, key)}
+}
+
+func (h *leafHasher) sum(idx uint64, raw []byte) [hashSize]byte {
+	binary.LittleEndian.PutUint64(h.idxBuf[:], idx)
+	h.rawBuf = append(h.rawBuf[:0], raw...)
+	h.mac.Reset()
+	h.mac.Write(leafTag)
+	h.mac.Write(h.idxBuf[:])
+	h.mac.Write(h.rawBuf)
+	h.mac.Sum(h.sumBuf[:0])
+	return h.sumBuf
 }
 
 // innerHash of a node whose children are all default at the level below.
@@ -183,7 +205,7 @@ func (t *Tree) Update(idx uint64, raw []byte) {
 	if t.accountingOnly {
 		t.nodes[0][idx] = [hashSize]byte{} // presence only: drives the rebuild counts
 	} else {
-		t.nodes[0][idx] = t.leafHash(idx, raw)
+		t.nodes[0][idx] = t.leaf.sum(idx, raw)
 	}
 	t.pending = true
 	node := idx
@@ -228,7 +250,7 @@ func (t *Tree) Verify(idx uint64, raw []byte) error {
 	if t.accountingOnly {
 		return nil
 	}
-	h := t.leafHash(idx, raw)
+	h := t.leaf.sum(idx, raw)
 	node := idx
 	for l := 1; l < t.levels; l++ {
 		parent := node / Arity
@@ -276,6 +298,12 @@ func (t *Tree) RootRegister() [hashSize]byte { return t.root }
 // mid-write. Accounting-only trees (timing fidelity) keep no digests and
 // report success.
 func (t *Tree) VerifyLeaf(idx uint64, raw []byte) error {
+	return t.verifyLeaf(&t.leaf, idx, raw)
+}
+
+// verifyLeaf is VerifyLeaf hashing with h, the tree's own leaf hasher or a
+// LeafVerifier's.
+func (t *Tree) verifyLeaf(h *leafHasher, idx uint64, raw []byte) error {
 	if t.accountingOnly {
 		return nil
 	}
@@ -283,7 +311,7 @@ func (t *Tree) VerifyLeaf(idx uint64, raw []byte) error {
 	if !ok {
 		return fmt.Errorf("bmt: no leaf digest for counter block %d", idx)
 	}
-	if t.leafHash(idx, raw) != stored {
+	if h.sum(idx, raw) != stored {
 		return fmt.Errorf("bmt: leaf digest mismatch at counter block %d", idx)
 	}
 	return nil
@@ -351,107 +379,29 @@ func (t *Tree) ResetLeaf(idx uint64, raw []byte) {
 		t.nodes[0][idx] = [hashSize]byte{}
 		return
 	}
-	t.nodes[0][idx] = t.leafHash(idx, raw)
+	t.nodes[0][idx] = t.leaf.sum(idx, raw)
 }
 
 // Levels returns the tree's level count, including the leaf-digest level
 // (level 0) and the root's level.
 func (t *Tree) Levels() int { return t.levels }
 
-// macPageLines groups per-line MACs into fixed 64-line pages (one 4 KB data
-// page's worth), so the store is a dense two-level table instead of a map:
-// page lookup is an array index, presence is one bit, and the Drop-heavy
-// CoW command stream (64 drops per page_copy/free/init) never churns hash
-// buckets.
-const macPageLines = 64
-
-// macPage holds one data page's MACs plus a presence bitmask.
-type macPage struct {
-	present uint64
-	sums    [macPageLines][hashSize]byte
+// LeafVerifier re-verifies stored leaf digests with a private leaf hasher,
+// so the recovery scrub's pass 1 can fan page verification out over a
+// goroutine pool. It only READS the tree (the stored leaf map and the
+// accounting-only flag); any concurrent tree mutation is the caller's bug.
+type LeafVerifier struct {
+	t    *Tree
+	leaf leafHasher
 }
 
-// MACStore holds the per-line data MACs. A line's MAC binds the ciphertext
-// to its address and encryption counter, so stale or relocated ciphertext
-// fails verification. Not safe for concurrent use (single reusable HMAC
-// state, like Tree).
-type MACStore struct {
-	key   []byte // retained for NewVerifier's independent HMAC states
-	mac   hash.Hash
-	pages []*macPage
-
-	hdrBuf  [17]byte
-	sumBuf  [hashSize]byte
-	ciphBuf []byte
+// NewLeafVerifier derives an independent verifier over the tree's current
+// leaf digests. Each pool worker must own one.
+func (t *Tree) NewLeafVerifier() *LeafVerifier {
+	return &LeafVerifier{t: t, leaf: newLeafHasher(t.key)}
 }
 
-// NewMACStore creates an empty MAC store with the given key.
-func NewMACStore(key []byte) *MACStore {
-	return &MACStore{mac: hmac.New(sha256.New, key), key: append([]byte(nil), key...)}
-}
-
-// page returns the MAC page for a line number, materialising it if create
-// is set; otherwise absent pages return nil.
-func (s *MACStore) page(lineNo uint64, create bool) *macPage {
-	idx := lineNo / macPageLines
-	if idx >= uint64(len(s.pages)) {
-		if !create {
-			return nil
-		}
-		grown := make([]*macPage, idx+1+idx/2)
-		copy(grown, s.pages)
-		s.pages = grown
-	}
-	p := s.pages[idx]
-	if p == nil && create {
-		p = new(macPage)
-		s.pages[idx] = p
-	}
-	return p
-}
-
-func (s *MACStore) compute(lineNo uint64, ciph []byte, major uint64, minor uint8) [hashSize]byte {
-	binary.LittleEndian.PutUint64(s.hdrBuf[0:8], lineNo)
-	binary.LittleEndian.PutUint64(s.hdrBuf[8:16], major)
-	s.hdrBuf[16] = minor
-	// Copy into the reusable scratch so the caller's (often stack-resident)
-	// ciphertext buffer does not escape through the hash interface.
-	s.ciphBuf = append(s.ciphBuf[:0], ciph...)
-	s.mac.Reset()
-	s.mac.Write(s.hdrBuf[:])
-	s.mac.Write(s.ciphBuf)
-	s.mac.Sum(s.sumBuf[:0])
-	return s.sumBuf
-}
-
-// Update records the MAC for a freshly written line.
-func (s *MACStore) Update(lineNo uint64, ciph []byte, major uint64, minor uint8) {
-	p := s.page(lineNo, true)
-	slot := lineNo % macPageLines
-	p.sums[slot] = s.compute(lineNo, ciph, major, minor)
-	p.present |= 1 << slot
-}
-
-// Verify checks a line read from NVM. Lines never written (e.g. demand-zero
-// content) have no MAC yet and verify trivially.
-func (s *MACStore) Verify(lineNo uint64, ciph []byte, major uint64, minor uint8) error {
-	p := s.page(lineNo, false)
-	if p == nil {
-		return nil
-	}
-	slot := lineNo % macPageLines
-	if p.present&(1<<slot) == 0 {
-		return nil
-	}
-	if got := s.compute(lineNo, ciph, major, minor); got != p.sums[slot] {
-		return fmt.Errorf("bmt: data MAC mismatch at line %#x", lineNo)
-	}
-	return nil
-}
-
-// Drop removes the MAC of a line (page freed and its metadata reset).
-func (s *MACStore) Drop(lineNo uint64) {
-	if p := s.page(lineNo, false); p != nil {
-		p.present &^= 1 << (lineNo % macPageLines)
-	}
+// Verify is Tree.VerifyLeaf with the verifier's own scratch state.
+func (v *LeafVerifier) Verify(idx uint64, raw []byte) error {
+	return v.t.verifyLeaf(&v.leaf, idx, raw)
 }

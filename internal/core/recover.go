@@ -280,7 +280,7 @@ func (e *Engine) Recover() (*RecoveryReport, error) {
 	if secure {
 		if e.mlpOn() {
 			// MLP: the per-page scrub is read-only (peekBlock is
-			// side-effect-free, MACVerifier owns its HMAC state), so pages
+			// side-effect-free, MACVerifier owns its MAC scratch), so pages
 			// fan out over the pool; the merge walks pages in pfn order, so
 			// counts and the LostLines prefix match the serial scrub exactly.
 			cand := make([]uint64, 0, pages)

@@ -17,8 +17,6 @@ package enc
 
 import (
 	"crypto/aes"
-	"crypto/cipher"
-	"encoding/binary"
 	"fmt"
 )
 
@@ -30,7 +28,7 @@ const padBlocks = LineBytes / aes.BlockSize
 
 // tweakSlots sizes the direct-mapped tweak cache (a power of two, indexed
 // by the line number's low bits). 256 entries cover the simulator's working
-// sets well while costing ~10 KB per engine.
+// sets well while costing ~10 KB per pad generator.
 const tweakSlots = 256
 
 // tweakEntry caches the first-stage AES output for one (lineNo, major)
@@ -43,26 +41,17 @@ type tweakEntry struct {
 	tweak  [aes.BlockSize]byte
 }
 
-// Engine generates one-time pads and applies them to cachelines.
-// Not safe for concurrent use: the tweak cache and the scratch blocks are
+// Engine generates one-time pads and applies them to cachelines through
+// its embedded Worker, and counts every pad it generates. Not safe for
+// concurrent use: the worker's tweak cache and scratch blocks are
 // single-threaded state (each simulated machine owns its engine).
 type Engine struct {
-	block cipher.Block
+	Worker
 	// Pads counts pad generations (one per line encryption/decryption),
 	// used by the timing model (24-cycle AES latency, overlapped with the
 	// data fetch). It counts logical pad generations: a tweak-cache hit
 	// still increments it, the timing model is unchanged.
 	Pads uint64
-
-	// tweaks caches the (lineNo ‖ major) AES stage: repeated pads on the
-	// same line (read-modify-write traffic, minor-counter advances,
-	// re-encryption sweeps) cost 4 AES invocations instead of 5.
-	tweaks [tweakSlots]tweakEntry
-
-	// in/pad are scratch blocks handed to the cipher.Block interface, kept
-	// in the struct so pad generation does not allocate.
-	in  [aes.BlockSize]byte
-	pad [LineBytes]byte
 }
 
 // New creates an engine keyed with the given 16-byte AES-128 key.
@@ -74,28 +63,14 @@ func New(key []byte) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{block: b}, nil
+	return &Engine{Worker: Worker{block: b}}, nil
 }
 
 // Pad computes the 64-byte one-time pad for the line identified by its
 // physical line number (byte address >> 6) and its encryption counter.
 func (e *Engine) Pad(lineNo uint64, major uint64, minor uint8) [LineBytes]byte {
 	e.Pads++
-	slot := &e.tweaks[lineNo%tweakSlots]
-	if !slot.valid || slot.lineNo != lineNo || slot.major != major {
-		e.in = [aes.BlockSize]byte{}
-		binary.LittleEndian.PutUint64(e.in[0:8], lineNo)
-		binary.LittleEndian.PutUint64(e.in[8:16], major)
-		e.block.Encrypt(slot.tweak[:], e.in[:])
-		slot.lineNo, slot.major, slot.valid = lineNo, major, true
-	}
-
-	for i := 0; i < padBlocks; i++ {
-		e.in = slot.tweak
-		e.in[0] ^= minor
-		e.in[1] ^= byte(i)
-		e.block.Encrypt(e.pad[i*aes.BlockSize:(i+1)*aes.BlockSize], e.in[:])
-	}
+	e.padFor(lineNo, major, minor)
 	return e.pad
 }
 
@@ -108,10 +83,8 @@ func (e *Engine) NotePad() { e.Pads++ }
 // Crypt XORs src with the pad for (lineNo, major, minor) into dst.
 // Counter-mode encryption and decryption are the same operation.
 func (e *Engine) Crypt(dst, src *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) {
-	pad := e.Pad(lineNo, major, minor)
-	for i := range dst {
-		dst[i] = src[i] ^ pad[i]
-	}
+	e.Pads++
+	e.Worker.Crypt(dst, src, lineNo, major, minor)
 }
 
 // Encrypt is Crypt with naming that reads well at write sites.

@@ -3,14 +3,16 @@ package enc
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 )
 
-// Worker is a pad generator sharing the engine's AES key schedule but
-// owning its tweak cache and scratch blocks, so a goroutine pool can
+// Worker is the one pad generator: an AES key schedule plus a private
+// tweak cache and scratch blocks. The Engine embeds one; NewWorker derives
+// more that share the engine's key schedule, so a goroutine pool can
 // encrypt/decrypt independent lines concurrently (cipher.Block's Encrypt is
-// safe for concurrent use; the Engine's struct scratch is not). Workers do
-// not touch the engine's Pads counter — the serial commit phase of a batch
+// safe for concurrent use; a worker's scratch is not). Workers do not
+// touch the engine's Pads counter — the serial commit phase of a batch
 // accounts pads via NotePads, keeping the counter single-writer.
 type Worker struct {
 	block  cipher.Block
@@ -29,6 +31,7 @@ func (e *Engine) NewWorker() *Worker {
 // timing fidelity, would have generated).
 func (e *Engine) NotePads(n uint64) { e.Pads += n }
 
+// padFor writes the pad for (lineNo, major, minor) into w.pad.
 func (w *Worker) padFor(lineNo uint64, major uint64, minor uint8) {
 	slot := &w.tweaks[lineNo%tweakSlots]
 	if !slot.valid || slot.lineNo != lineNo || slot.major != major {
@@ -50,9 +53,7 @@ func (w *Worker) padFor(lineNo uint64, major uint64, minor uint8) {
 // Engine.Crypt but with worker-private state and no pad accounting.
 func (w *Worker) Crypt(dst, src *[LineBytes]byte, lineNo uint64, major uint64, minor uint8) {
 	w.padFor(lineNo, major, minor)
-	for i := range dst {
-		dst[i] = src[i] ^ w.pad[i]
-	}
+	subtle.XORBytes(dst[:], src[:], w.pad[:])
 }
 
 // Encrypt is Crypt with naming that reads well at write sites.

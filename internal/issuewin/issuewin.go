@@ -22,7 +22,8 @@ func Run(workers, n int, fn func(i int)) {
 // RunWith is Run with per-worker private state: newState is called once per
 // participating worker (including the inline path) and the state is handed
 // to every fn call that worker executes. Jobs needing non-reentrant scratch
-// — HMAC states, AES pad buffers — get one instance each without sharing.
+// — MAC and hash scratch, AES pad buffers — get one instance each without
+// sharing.
 func RunWith[S any](workers, n int, newState func() S, fn func(s S, i int)) {
 	if n <= 0 {
 		return
